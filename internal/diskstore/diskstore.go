@@ -89,8 +89,9 @@ type entry struct {
 	node       uint64
 	body       []byte
 	dirty      bool
-	queued     bool // sitting in the dirty queue
-	prefetched bool // faulted in by the prefetcher, not yet demanded
+	queued     bool   // sitting in the dirty queue
+	prefetched bool   // faulted in by the prefetcher, not yet demanded
+	pfGen      uint64 // statsGen when prefetched
 	elem       *list.Element
 }
 
@@ -120,6 +121,10 @@ type Store struct {
 	epoch  uint64
 	clean  bool // header state currently on disk
 	stats  oram.TierStats
+	// statsGen counts ResetTierStats calls. A demand hit on a prefetched
+	// entry counts as PrefetchUseful only if the prefetch was issued in the
+	// current generation, so PrefetchUseful never exceeds PrefetchIssued.
+	statsGen uint64
 	// pfBytes is the resident footprint of prefetched-but-not-yet-demanded
 	// entries; the prefetch worker throttles on it so look-ahead never runs
 	// so far ahead of the demand stream that it evicts its own useful work.
@@ -210,7 +215,7 @@ func layoutCheck(g *oram.Geometry) uint64 {
 
 // bucketKey is the linear bucket index of (level, node) — heap order.
 func bucketKey(level int, node uint64) int64 {
-	return int64((uint64(1)<<uint(level)) - 1 + node)
+	return int64((uint64(1) << uint(level)) - 1 + node)
 }
 
 // recOff returns the file offset of bucket (level, node)'s record:
@@ -427,6 +432,7 @@ func (st *Store) ResetTierStats() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.stats = oram.TierStats{}
+	st.statsGen++
 }
 
 // checkBucket validates bucket coordinates (oram.bucketRange's rule).
@@ -598,7 +604,9 @@ func (st *Store) entryFor(level int, node uint64) (*entry, bool, error) {
 	if e, ok := st.cache[key]; ok {
 		st.stats.Hits++
 		if e.prefetched {
-			st.stats.PrefetchUseful++
+			if e.pfGen == st.statsGen {
+				st.stats.PrefetchUseful++
+			}
 			e.prefetched = false
 			st.pfBytes -= int64(len(e.body))
 		}

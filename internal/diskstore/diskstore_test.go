@@ -411,6 +411,81 @@ func TestPrefetchFaultsPathsIn(t *testing.T) {
 	}
 }
 
+// TestPrefetchUsefulAcrossReset: a prefetch issued before ResetTierStats
+// and demanded after it is not counted as useful, so PrefetchUseful never
+// exceeds PrefetchIssued; prefetches issued after the reset still count.
+func TestPrefetchUsefulAcrossReset(t *testing.T) {
+	g := testGeometry(t, 4, 4, 16)
+	path := filepath.Join(t.TempDir(), "tree.laor")
+	st, err := Open(Config{Path: path, Geometry: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := func() [][]oram.Slot {
+		b := make([][]oram.Slot, g.Levels())
+		for lvl := range b {
+			b[lvl] = make([]oram.Slot, g.BucketSize(lvl))
+			for k := range b[lvl] {
+				b[lvl][k] = oram.DummySlot()
+			}
+		}
+		return b
+	}
+	for _, leaf := range []oram.Leaf{5, 10} {
+		if err := st.WritePath(leaf, bufs()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(Config{Path: path, Geometry: g, MemBudget: 1 << 20, Prefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	waitIssued := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for st.TierStats().PrefetchIssued < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("prefetcher issued %d of %d buckets", st.TierStats().PrefetchIssued, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	check := func(when string) oram.TierStats {
+		t.Helper()
+		ts := st.TierStats()
+		if ts.PrefetchUseful > ts.PrefetchIssued {
+			t.Fatalf("%s: PrefetchUseful %d > PrefetchIssued %d", when, ts.PrefetchUseful, ts.PrefetchIssued)
+		}
+		return ts
+	}
+
+	// Path 5 is prefetched, then the counters reset before it is demanded.
+	st.PrefetchPaths([]oram.Leaf{5})
+	waitIssued(uint64(g.Levels()))
+	st.ResetTierStats()
+	if err := st.ReadPath(5, bufs()); err != nil {
+		t.Fatal(err)
+	}
+	if ts := check("demand after reset"); ts.PrefetchUseful != 0 {
+		t.Fatalf("prefetches issued before the reset counted as useful after it: %+v", ts)
+	}
+
+	// Path 10 shares only the root with path 5: its other buckets are
+	// prefetched after the reset and count when demanded.
+	st.PrefetchPaths([]oram.Leaf{10})
+	waitIssued(uint64(g.Levels() - 1))
+	if err := st.ReadPath(10, bufs()); err != nil {
+		t.Fatal(err)
+	}
+	if ts := check("second path"); ts.PrefetchUseful != uint64(g.Levels()-1) {
+		t.Fatalf("PrefetchUseful = %d after demanding %d post-reset prefetches: %+v", ts.PrefetchUseful, g.Levels()-1, ts)
+	}
+}
+
 // TestSealedStore exercises the sealed-at-rest path: payloads round-trip
 // through seal/open and the arena never holds plaintext.
 func TestSealedStore(t *testing.T) {

@@ -139,6 +139,7 @@ func (st *Store) prefetchBucket(level int, node uint64, rec []byte) {
 	}
 	e := st.newEntry(level, node, rec)
 	e.prefetched = true
+	e.pfGen = st.statsGen
 	st.pfBytes += int64(len(e.body))
 	st.stats.PrefetchIssued++
 	if err := st.insertLocked(e); err != nil {

@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -104,6 +105,18 @@ func TestWriteBackPathsAllocs(t *testing.T) {
 
 func sealedAllocClient(t *testing.T) (*Client, uint64) {
 	t.Helper()
+	return sealedAllocClientOver(t, func(ps *PayloadStore) Store { return ps })
+}
+
+// nativeBatch presents a PayloadStore as a natively batching store, so the
+// client takes the one-operation ReadBuckets/WriteBuckets branch a remote
+// store gets.
+type nativeBatch struct{ *PayloadStore }
+
+func (nativeBatch) BatchNative() bool { return true }
+
+func sealedAllocClientOver(t *testing.T, wrap func(*PayloadStore) Store) (*Client, uint64) {
+	t.Helper()
 	g := MustGeometry(GeometryConfig{LeafBits: 8, LeafZ: 4, BlockSize: 64})
 	key := make([]byte, 32)
 	sealer, err := crypto.NewSealer(key)
@@ -116,7 +129,7 @@ func sealedAllocClient(t *testing.T) (*Client, uint64) {
 	}
 	blocks := uint64(1) << 9
 	c, err := NewClient(ClientConfig{
-		Store:     NewCountingStore(ps, nil),
+		Store:     NewCountingStore(wrap(ps), nil),
 		Rand:      rand.New(rand.NewSource(15)),
 		Evict:     PaperEvict,
 		StashHits: true,
@@ -181,6 +194,42 @@ func TestAccessSealedAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("sealed ReadInto allocates %.2f objects/op in steady state, want 0", allocs)
+	}
+}
+
+// TestAccessBatchAllocs: a steady-state AccessBatch over a sealed store —
+// joint path read, reads into caller-provided buffers, writes, remaps,
+// linear joint write-back, background eviction — allocates nothing, both
+// bucket by bucket and through a natively batching store.
+func TestAccessBatchAllocs(t *testing.T) {
+	for name, wrap := range map[string]func(*PayloadStore) Store{
+		"per-bucket": func(ps *PayloadStore) Store { return ps },
+		"batched":    func(ps *PayloadStore) Store { return nativeBatch{ps} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, blocks := sealedAllocClientOver(t, wrap)
+			rng := rand.New(rand.NewSource(17))
+			acc := make([]BatchAccess, JointAccesses+8) // two joint fetches
+			for i := range acc {
+				acc[i].Out = make([]byte, 64)
+				acc[i].Data = make([]byte, 64)
+			}
+			round := func() {
+				for i := range acc {
+					acc[i].ID = BlockID(rng.Int63n(int64(blocks)))
+					acc[i].Op = Op(rng.Intn(2))
+				}
+				if err := c.AccessBatch(context.Background(), acc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				round() // warm the joint-fetch scratch
+			}
+			if allocs := testing.AllocsPerRun(200, round); allocs > 0 {
+				t.Errorf("AccessBatch allocates %.2f objects/op in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 

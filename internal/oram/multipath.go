@@ -1,6 +1,8 @@
 package oram
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"slices"
 )
@@ -11,18 +13,29 @@ import (
 // path — one bin = one ReadPaths + one WriteBackPaths — allocates nothing
 // in steady state.
 type multiScratch struct {
-	seen   map[BucketRef]bool
-	refs   []BucketRef // bucket union (read order or write order)
-	ids    []BlockID   // sorted stash snapshot for deterministic placement
-	placed map[BlockID]bool
-	bufs   [][]Slot   // batch-transport buffers, grown on demand
-	arena  [][][]byte // payload backing re-armed into bufs (blockSize > 0)
+	seen  map[BucketRef]bool
+	refs  []BucketRef // bucket union (read order or write order)
+	bufs  [][]Slot    // batch-transport buffers, grown on demand
+	arena [][][]byte  // payload backing re-armed into bufs (blockSize > 0)
+
+	fetch []Leaf // AccessBatch: one fetched leaf per access of a joint fetch
+
+	// Write-back placement (see WriteBackPaths).
+	leaves []Leaf        // the distinct leaves, ascending
+	at     []int32       // at[j*levels+lvl]: union bucket on leaves[j]'s path at lvl
+	rep    []int32       // rep[i]: a leaf index whose path holds bucket i
+	cand   [][]placeCand // cand[i]: blocks bound for bucket i, then its placement
+}
+
+// placeCand is a stash block awaiting placement: its ID and slab slot.
+type placeCand struct {
+	id   BlockID
+	slot int32
 }
 
 func (m *multiScratch) resetRefs() {
 	if m.seen == nil {
 		m.seen = make(map[BucketRef]bool, 64)
-		m.placed = make(map[BlockID]bool, 64)
 	}
 	clear(m.seen)
 	m.refs = m.refs[:0]
@@ -156,12 +169,13 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // whole union ships in a single store operation.
 //
 // Superblock clients need this whenever a single logical access fetches
-// more than one path: LAORAM bins with cold members (§IV-A) and PrORAM
-// dynamic superblocks right after a merge.
+// more than one path: LAORAM bins with cold members (§IV-A), PrORAM
+// dynamic superblocks right after a merge, and AccessBatch's joint fetches.
 //
-// Placement is the same greedy rule as WriteBackPath, generalised: each
-// stash block goes into the deepest not-yet-full bucket of the union that
-// lies on the path of the block's assigned leaf.
+// Placement is the same greedy rule as WriteBackPath, generalised: buckets
+// are filled deepest level first, and each takes, in ascending ID order,
+// up to its capacity of the not-yet-placed stash blocks whose assigned
+// leaf's path passes through it.
 func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	switch len(leaves) {
 	case 0:
@@ -175,93 +189,46 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: WriteBackPaths: invalid leaf %d", l)
 		}
 	}
-
-	// The union of buckets, deepest level first; within a level, sorted
-	// by node for determinism. Duplicates (shared prefixes) collapse.
 	m := &c.multi
-	m.resetRefs()
-	buckets := m.refs
-	for lvl := g.Levels() - 1; lvl >= 0; lvl-- {
-		start := len(buckets)
-		for _, l := range leaves {
-			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
-			if !m.seen[b] {
-				m.seen[b] = true
-				buckets = append(buckets, b)
-			}
-		}
-		lvlBuckets := buckets[start:]
-		slices.SortFunc(lvlBuckets, func(a, b BucketRef) int {
-			switch {
-			case a.Node < b.Node:
-				return -1
-			case a.Node > b.Node:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
-	m.refs = buckets
+	buckets := m.writeUnion(g, leaves)
+	m.place(g, c.stash)
 
-	// Stable stash snapshot for deterministic placement.
-	m.ids = c.stash.AppendIDs(m.ids[:0])
-	ids := m.ids
-	slices.Sort(ids)
-
-	// place fills buf with the deepest-eligible stash blocks for bucket b
-	// (padding with dummies) and returns how many real blocks it placed.
-	clear(m.placed)
-	placed := m.placed
-	place := func(b BucketRef, buf []Slot) int {
-		z := g.BucketSize(b.Level)
+	// fill writes bucket i's placement into buf, padding with dummies.
+	entries := c.stash.entries
+	fill := func(i int, buf []Slot) {
 		n := 0
-		for _, id := range ids {
-			if n == z {
-				break
-			}
-			if placed[id] {
-				continue
-			}
-			bl, ok := c.stash.Leaf(id)
-			if !ok {
-				continue
-			}
-			if g.NodeAt(bl, b.Level) != b.Node {
-				continue
-			}
-			p, _ := c.stash.Payload(id)
-			buf[n] = Slot{ID: id, Leaf: bl, Payload: p}
-			placed[id] = true
+		for _, pc := range m.cand[i] {
+			e := &entries[pc.slot]
+			buf[n] = Slot{ID: pc.id, Leaf: e.leaf, Payload: e.payload}
 			n++
 		}
-		real := n
-		for ; n < z; n++ {
+		for ; n < len(buf); n++ {
 			buf[n] = DummySlot()
 		}
-		return real
 	}
-
-	moved := 0
 	if bs, ok := c.store.(BatchStore); ok && batchWorthwhile(c.store) {
 		bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
-		for i, b := range buckets {
-			moved += place(b, bufs[i])
+		for i := range buckets {
+			fill(i, bufs[i])
 		}
 		if err := bs.WriteBuckets(buckets, bufs); err != nil {
 			return fmt.Errorf("oram: WriteBackPaths: %w", err)
 		}
 	} else {
-		for _, b := range buckets {
+		for i, b := range buckets {
 			buf := c.writeBuf[:g.BucketSize(b.Level)]
-			moved += place(b, buf)
+			fill(i, buf)
 			if err := c.store.WriteBucket(b.Level, b.Node, buf); err != nil {
 				return fmt.Errorf("oram: WriteBackPaths level %d node %d: %w", b.Level, b.Node, err)
 			}
 		}
 	}
-	for id := range placed {
-		c.stash.Remove(id)
+	moved := 0
+	for i := range buckets {
+		for _, pc := range m.cand[i] {
+			c.stash.Remove(pc.id)
+		}
+		moved += len(m.cand[i])
 	}
 	if c.timer != nil {
 		for range leaves {
@@ -272,4 +239,208 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		}
 	}
 	return nil
+}
+
+// writeUnion builds the bucket union of leaves in write order: deepest
+// level first, ascending node within a level, shared buckets once. It also
+// records, for each distinct leaf j (ascending) and level, the index of the
+// union bucket on that leaf's path (m.at), and one leaf through each bucket
+// (m.rep). The returned slice aliases the scratch.
+func (m *multiScratch) writeUnion(g *Geometry, leaves []Leaf) []BucketRef {
+	m.leaves = append(m.leaves[:0], leaves...)
+	slices.Sort(m.leaves)
+	m.leaves = slices.Compact(m.leaves)
+	levels := g.Levels()
+	m.at = slices.Grow(m.at[:0], len(m.leaves)*levels)[:len(m.leaves)*levels]
+	m.refs, m.rep = m.refs[:0], m.rep[:0]
+	for lvl := levels - 1; lvl >= 0; lvl-- {
+		for j, l := range m.leaves {
+			// Sorted leaves give non-decreasing nodes: a shared bucket
+			// is a run of equal nodes.
+			node := g.NodeAt(l, lvl)
+			if j == 0 || m.refs[len(m.refs)-1].Node != node {
+				m.refs = append(m.refs, BucketRef{Level: lvl, Node: node})
+				m.rep = append(m.rep, int32(j))
+			}
+			m.at[j*levels+lvl] = int32(len(m.refs) - 1)
+		}
+	}
+	return m.refs
+}
+
+// place computes the greedy placement over the union writeUnion built, in
+// one pass over the stash: each block drops into its deepest union bucket
+// (the union is closed under ancestors, so that is the deepest level its
+// path shares with the nearest leaf in sorted order); buckets are then
+// filled deepest level first with their lowest IDs, the overflow bubbling
+// to the parent bucket. This is exactly the per-bucket greedy scan — a
+// bucket's candidates are the unplaced blocks whose path crosses it — at
+// linear cost. Afterwards m.cand[i] lists bucket i's blocks in slot order.
+func (m *multiScratch) place(g *Geometry, s *Stash) {
+	n := len(m.refs)
+	if cap(m.cand) < n {
+		m.cand = append(m.cand[:cap(m.cand)], make([][]placeCand, n-cap(m.cand))...)
+	}
+	m.cand = m.cand[:n]
+	for i := range m.cand {
+		m.cand[i] = m.cand[i][:0]
+	}
+	levels := g.Levels()
+	for slot := range s.entries {
+		e := &s.entries[slot]
+		if e.id == DummyID {
+			continue // vacant slab slot
+		}
+		j, _ := slices.BinarySearch(m.leaves, e.leaf)
+		best, d := j, -1
+		if j < len(m.leaves) {
+			d = g.CommonLevel(e.leaf, m.leaves[j])
+		}
+		if j > 0 {
+			if d2 := g.CommonLevel(e.leaf, m.leaves[j-1]); d2 > d {
+				best, d = j-1, d2
+			}
+		}
+		b := m.at[best*levels+d]
+		m.cand[b] = append(m.cand[b], placeCand{id: e.id, slot: int32(slot)})
+	}
+	for i, b := range m.refs {
+		cand := m.cand[i]
+		slices.SortFunc(cand, func(x, y placeCand) int { return cmp.Compare(x.id, y.id) })
+		if z := g.BucketSize(b.Level); len(cand) > z {
+			if b.Level > 0 {
+				// Buckets run deepest level first, so the parent is
+				// still to come.
+				p := m.at[int(m.rep[i])*levels+b.Level-1]
+				m.cand[p] = append(m.cand[p], cand[z:]...)
+			}
+			m.cand[i] = cand[:z]
+		}
+	}
+}
+
+// JointAccesses is the most accesses AccessBatch serves from one joint
+// fetch; a longer batch runs as consecutive joint fetches of this many.
+const JointAccesses = 64
+
+// BatchAccess is one access of an AccessBatch.
+type BatchAccess struct {
+	Op Op
+	ID BlockID
+	// Data is an OpWrite's payload; the stash copies it.
+	Data []byte
+	// Out receives an OpRead's payload, copied into Out's capacity (grown
+	// only when too small, so nil means a fresh copy); nil under a
+	// metadata-only store.
+	Out []byte
+}
+
+// AccessBatch performs acc in order as joint fetches of at most
+// JointAccesses accesses each — the paper's batch-granularity fetch
+// (§IV-A) applied to plain PathORAM accesses. A joint fetch is one
+// ReadPaths over one leaf per access, the operations served from the stash
+// in batch order, every block remapped uniformly, one WriteBackPaths over
+// the same leaves and one MaybeEvict: on a BatchStore one store operation
+// each way instead of one per path.
+//
+// Each access contributes exactly one fetched leaf: the block's position,
+// or a fresh uniform leaf when the block was never written or is already
+// in the stash (including an ID repeated earlier in the same joint fetch).
+// The server therefore sees k independent uniform leaves per joint fetch,
+// whatever the IDs, their repeats and the stash state; for the same reason
+// the StashHits shortcut never applies inside a batch. Results equal those
+// of sequential Access calls.
+//
+// ctx is checked before each joint fetch; a cancelled batch returns
+// ctx.Err() with the earlier joint fetches complete. An invalid access
+// (ID out of range, read of a never-written block) fails its joint fetch
+// before any store traffic.
+func (c *Client) AccessBatch(ctx context.Context, acc []BatchAccess) error {
+	for len(acc) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		k := min(len(acc), JointAccesses)
+		if err := c.jointAccess(acc[:k]); err != nil {
+			return err
+		}
+		acc = acc[k:]
+	}
+	return nil
+}
+
+// jointAccess is one joint fetch of AccessBatch (len(acc) <= JointAccesses).
+func (c *Client) jointAccess(acc []BatchAccess) error {
+	// Validate and pick each access's fetched leaf; NoLeaf marks a fresh
+	// uniform leaf, drawn only once the whole joint fetch is valid.
+	m := &c.multi
+	m.fetch = m.fetch[:0]
+	var create uint64 // bit i: access i creates its block
+	for i := range acc {
+		a := &acc[i]
+		if uint64(a.ID) >= c.pos.Len() {
+			return fmt.Errorf("oram: block %d out of range (have %d blocks)", a.ID, c.pos.Len())
+		}
+		if a.Op != OpRead && a.Op != OpWrite {
+			return fmt.Errorf("oram: unknown op %v", a.Op)
+		}
+		repeat := false
+		for j := range acc[:i] {
+			if acc[j].ID == a.ID {
+				repeat = true
+				break
+			}
+		}
+		leaf := c.pos.Get(a.ID)
+		switch {
+		case leaf == NoLeaf && !repeat:
+			if a.Op != OpWrite {
+				return fmt.Errorf("oram: read of unwritten block %d", a.ID)
+			}
+			create |= 1 << i
+		case repeat || c.stash.Contains(a.ID):
+			leaf = NoLeaf
+		}
+		m.fetch = append(m.fetch, leaf)
+	}
+	for i, l := range m.fetch {
+		if l == NoLeaf {
+			m.fetch[i] = c.RandomLeaf()
+		}
+	}
+	if err := c.ReadPaths(m.fetch); err != nil {
+		return err
+	}
+	// Serve in batch order, remapping every block.
+	for i := range acc {
+		a := &acc[i]
+		newLeaf := c.RandomLeaf()
+		c.stats.Accesses++
+		c.stats.Remaps++
+		c.stats.PathReads++
+		if create&(1<<i) != 0 {
+			c.pos.Set(a.ID, newLeaf)
+			if err := c.stash.Put(a.ID, newLeaf, a.Data); err != nil {
+				return err
+			}
+			continue
+		}
+		if !c.stash.SetLeaf(a.ID, newLeaf) {
+			return fmt.Errorf("oram: block %d not found on its assigned path (tree corrupt)", a.ID)
+		}
+		c.pos.Set(a.ID, newLeaf)
+		out, err := c.serveFromStash(a.Op, a.ID, a.Data, a.Out)
+		if err != nil {
+			return err
+		}
+		if a.Op == OpRead {
+			a.Out = out
+		}
+	}
+	if err := c.WriteBackPaths(m.fetch); err != nil {
+		return err
+	}
+	c.stats.PathWrites += uint64(len(acc))
+	_, err := c.MaybeEvict()
+	return err
 }

@@ -1,7 +1,9 @@
 package oram
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,5 +147,136 @@ func TestWriteBackPathsDrainsStash(t *testing.T) {
 	// where it was.
 	if c.Stash().Len() != start {
 		t.Errorf("stash grew from %d to %d without remaps", start, c.Stash().Len())
+	}
+}
+
+// greedyReference is the original quadratic WriteBackPaths placement, kept
+// as the specification the linear pass must match: the union deepest level
+// first (ascending node within a level), and for each bucket a scan of the
+// ascending stash IDs taking the not-yet-placed blocks whose path crosses
+// it, up to its capacity.
+func greedyReference(g *Geometry, stash map[BlockID]Leaf, leaves []Leaf) ([]BucketRef, [][]BlockID) {
+	var buckets []BucketRef
+	seen := map[BucketRef]bool{}
+	for lvl := g.Levels() - 1; lvl >= 0; lvl-- {
+		start := len(buckets)
+		for _, l := range leaves {
+			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
+			if !seen[b] {
+				seen[b] = true
+				buckets = append(buckets, b)
+			}
+		}
+		slices.SortFunc(buckets[start:], func(a, b BucketRef) int { return cmp.Compare(a.Node, b.Node) })
+	}
+	ids := make([]BlockID, 0, len(stash))
+	for id := range stash {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	placed := map[BlockID]bool{}
+	plan := make([][]BlockID, len(buckets))
+	for i, b := range buckets {
+		for _, id := range ids {
+			if len(plan[i]) == g.BucketSize(b.Level) {
+				break
+			}
+			if !placed[id] && g.NodeAt(stash[id], b.Level) == b.Node {
+				plan[i] = append(plan[i], id)
+				placed[id] = true
+			}
+		}
+	}
+	return buckets, plan
+}
+
+// writeLog records the bucket writes reaching a store, in order.
+type writeLog struct {
+	Store
+	refs  []BucketRef
+	slots [][]Slot
+}
+
+func (w *writeLog) WriteBucket(level int, node uint64, src []Slot) error {
+	w.refs = append(w.refs, BucketRef{Level: level, Node: node})
+	w.slots = append(w.slots, slices.Clone(src))
+	return w.Store.WriteBucket(level, node, src)
+}
+
+// TestWriteBackPathsMatchesGreedyReference: on random stashes and leaf
+// sets (duplicates included), over uniform and fat trees, the linear
+// placement writes exactly the buckets, in exactly the order and slot
+// layout, of the quadratic greedy scan, and leaves exactly its leftovers in
+// the stash.
+func TestWriteBackPathsMatchesGreedyReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	geoms := []*Geometry{
+		MustGeometry(GeometryConfig{LeafBits: 6, LeafZ: 2}),
+		MustGeometry(GeometryConfig{LeafBits: 8, LeafZ: 4}),
+		MustGeometry(GeometryConfig{LeafBits: 7, LeafZ: 3, RootZ: 8, Profile: ProfileLinear}),
+	}
+	for trial := 0; trial < 300; trial++ {
+		g := geoms[trial%len(geoms)]
+		log := &writeLog{Store: NewMetaStore(g)}
+		c, err := NewClient(ClientConfig{Store: log, Rand: rand.New(rand.NewSource(1)), Blocks: g.Leaves()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stash := map[BlockID]Leaf{}
+		for n := rng.Intn(400); len(stash) < n; {
+			id := BlockID(rng.Intn(1 << 12))
+			l := Leaf(rng.Int63n(int64(g.Leaves())))
+			stash[id] = l
+			if err := c.Stash().Put(id, l, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Churn the slab so vacant slots sit between live ones.
+		for id := range stash {
+			if rng.Intn(5) == 0 {
+				c.Stash().Remove(id)
+				delete(stash, id)
+			}
+		}
+		leaves := make([]Leaf, 2+rng.Intn(40))
+		for i := range leaves {
+			if i > 0 && rng.Intn(6) == 0 {
+				leaves[i] = leaves[rng.Intn(i)]
+			} else {
+				leaves[i] = Leaf(rng.Int63n(int64(g.Leaves())))
+			}
+		}
+		wantRefs, wantPlan := greedyReference(g, stash, leaves)
+		if err := c.WriteBackPaths(leaves); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(log.refs, wantRefs) {
+			t.Fatalf("trial %d: write order %v, reference %v", trial, log.refs, wantRefs)
+		}
+		for i, b := range wantRefs {
+			got := log.slots[i]
+			for k := range got {
+				want := DummySlot()
+				if k < len(wantPlan[i]) {
+					id := wantPlan[i][k]
+					want = Slot{ID: id, Leaf: stash[id]}
+				}
+				if got[k].ID != want.ID || got[k].Leaf != want.Leaf {
+					t.Fatalf("trial %d: bucket %v slot %d = (%d,%d), reference (%d,%d)",
+						trial, b, k, got[k].ID, got[k].Leaf, want.ID, want.Leaf)
+				}
+			}
+			for _, id := range wantPlan[i] {
+				delete(stash, id)
+			}
+		}
+		if c.Stash().Len() != len(stash) {
+			t.Fatalf("trial %d: stash holds %d blocks, reference %d", trial, c.Stash().Len(), len(stash))
+		}
+		for id, l := range stash {
+			if got, ok := c.Stash().Leaf(id); !ok || got != l {
+				t.Fatalf("trial %d: leftover block %d missing from stash", trial, id)
+			}
+		}
 	}
 }

@@ -78,7 +78,8 @@ type ClientConfig struct {
 	// "If the block is already in the stash, it is immediately
 	// provided"), serves stash-resident blocks without touching the
 	// server. When false the client always performs a path read, as in
-	// the original PathORAM presentation.
+	// the original PathORAM presentation. AccessBatch never takes the
+	// shortcut (see its one-leaf-per-access rule).
 	StashHits bool
 	// Blocks is the number of real blocks (dense IDs 0..Blocks-1).
 	Blocks uint64

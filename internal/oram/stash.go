@@ -180,16 +180,11 @@ func (s *Stash) ForEach(fn func(id BlockID, leaf Leaf)) {
 
 // IDs returns the stashed block IDs in unspecified order.
 func (s *Stash) IDs() []BlockID {
-	return s.AppendIDs(make([]BlockID, 0, len(s.index)))
-}
-
-// AppendIDs appends the stashed block IDs (unspecified order) to dst and
-// returns the extended slice — the allocation-free form of IDs.
-func (s *Stash) AppendIDs(dst []BlockID) []BlockID {
+	ids := make([]BlockID, 0, len(s.index))
 	for id := range s.index {
-		dst = append(dst, id)
+		ids = append(ids, id)
 	}
-	return dst
+	return ids
 }
 
 // evictPlanner holds the scratch state of the greedy write-back planner so

@@ -1136,9 +1136,10 @@ func (s *ShardStore) ReadBuckets(refs []oram.BucketRef, dst [][]Slot) error {
 	}
 	return s.chunkRefs(refs, func(lo, hi int) error {
 		resp, err := s.pbatch(func(shard uint32) []byte {
-			body := appendU32(nil, uint32(hi-lo))
+			body := appendU32(make([]byte, 0, 4+(hi-lo)*(9+bucketRefLen)), uint32(hi-lo))
 			for _, r := range refs[lo:hi] {
-				body = appendBatchSub(body, opReadBucket, shard, appendBucketRef(nil, r.Level, r.Node))
+				body = appendBatchSubHeader(body, opReadBucket, shard, bucketRefLen)
+				body = appendBucketRef(body, r.Level, r.Node)
 			}
 			return body
 		})
@@ -1158,13 +1159,27 @@ func (s *ShardStore) WriteBuckets(refs []oram.BucketRef, src [][]Slot) error {
 	}
 	return s.chunkRefs(refs, func(lo, hi int) error {
 		resp, err := s.pbatch(func(shard uint32) []byte {
-			body := appendU32(nil, uint32(hi-lo))
-			for i, r := range refs[lo:hi] {
-				sub := appendBucketRef(nil, r.Level, r.Node)
-				for j := range src[lo+i] {
-					sub = appendSlot(sub, &src[lo+i][j])
+			// Size the frame exactly, then encode every sub-request in
+			// place: one allocation per frame.
+			subLen := func(slots []Slot) int {
+				n := bucketRefLen
+				for j := range slots {
+					n += slotWireLen(&slots[j])
 				}
-				body = appendBatchSub(body, opWriteBucket, shard, sub)
+				return n
+			}
+			size := 4
+			for i := lo; i < hi; i++ {
+				size += 9 + subLen(src[i])
+			}
+			body := appendU32(make([]byte, 0, size), uint32(hi-lo))
+			for i, r := range refs[lo:hi] {
+				slots := src[lo+i]
+				body = appendBatchSubHeader(body, opWriteBucket, shard, subLen(slots))
+				body = appendBucketRef(body, r.Level, r.Node)
+				for j := range slots {
+					body = appendSlot(body, &slots[j])
+				}
 			}
 			return body
 		})

@@ -321,18 +321,30 @@ func parseSlot(buf []byte, s *oram.Slot) ([]byte, error) {
 	if uint64(len(buf)) < uint64(n) {
 		return nil, fmt.Errorf("remote: truncated slot payload (%d < %d)", len(buf), n)
 	}
-	if n == 0 {
+	switch {
+	case n == 0:
 		s.Payload = nil
-	} else {
+	case uint32(cap(s.Payload)) >= n:
+		// Decode into the slot's existing capacity, as a local
+		// PayloadStore does (the Store.ReadBucket contract).
+		s.Payload = s.Payload[:n]
+		copy(s.Payload, buf[:n])
+	default:
 		s.Payload = make([]byte, n)
 		copy(s.Payload, buf[:n])
 	}
 	return buf[n:], nil
 }
 
+// slotWireLen is the encoded size of s (see appendSlot).
+func slotWireLen(s *oram.Slot) int { return 20 + len(s.Payload) }
+
+// bucketRefLen is the encoded size of a bucket address.
+const bucketRefLen = 12
+
 // appendBucketRef serialises a (level, node) bucket address.
 func appendBucketRef(buf []byte, level int, node uint64) []byte {
-	var tmp [12]byte
+	var tmp [bucketRefLen]byte
 	binary.BigEndian.PutUint32(tmp[0:], uint32(level))
 	binary.BigEndian.PutUint64(tmp[4:], node)
 	return append(buf, tmp[:]...)
@@ -383,12 +395,15 @@ func parseLeaf(buf []byte) (leaf oram.Leaf, rest []byte, err error) {
 
 // appendBatchSub serialises one opBatch sub-request.
 func appendBatchSub(buf []byte, op byte, shard uint32, body []byte) []byte {
+	return append(appendBatchSubHeader(buf, op, shard, len(body)), body...)
+}
+
+// appendBatchSubHeader appends the header of an opBatch sub-request whose
+// body the caller appends in place; bodyLen must be the body's exact size.
+func appendBatchSubHeader(buf []byte, op byte, shard uint32, bodyLen int) []byte {
 	buf = append(buf, op)
-	var tmp [8]byte
-	binary.BigEndian.PutUint32(tmp[0:], shard)
-	binary.BigEndian.PutUint32(tmp[4:], uint32(len(body)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, body...)
+	buf = binary.BigEndian.AppendUint32(buf, shard)
+	return binary.BigEndian.AppendUint32(buf, uint32(bodyLen))
 }
 
 func parseBatchSub(buf []byte) (op byte, shard uint32, body []byte, rest []byte, err error) {
@@ -407,11 +422,13 @@ func parseBatchSub(buf []byte) (op byte, shard uint32, body []byte, rest []byte,
 
 // appendBatchSubResp serialises one opBatch sub-response.
 func appendBatchSubResp(buf []byte, status byte, body []byte) []byte {
+	return append(appendBatchSubRespHeader(buf, status, len(body)), body...)
+}
+
+// appendBatchSubRespHeader is appendBatchSubHeader for sub-responses.
+func appendBatchSubRespHeader(buf []byte, status byte, bodyLen int) []byte {
 	buf = append(buf, status)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(body)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, body...)
+	return binary.BigEndian.AppendUint32(buf, uint32(bodyLen))
 }
 
 func parseBatchSubResp(buf []byte) (status byte, body []byte, rest []byte, err error) {

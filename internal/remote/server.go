@@ -10,6 +10,7 @@ import (
 	"log"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -831,32 +832,29 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 					j++
 				}
 			}
-			var run []byte
-			var grouped bool
+			grouped := false
 			if j > i {
-				run, grouped = s.dispatchBucketRun(subs[i : j+1])
+				out, grouped = s.dispatchBucketRun(subs[i:j+1], out)
 			}
 			if !grouped {
 				// Singleton sub-request, non-bucket opcode, or a run the
 				// grouped fast path declined (validation or store error):
 				// the per-op dispatch preserves exact per-sub status
 				// semantics.
-				run = nil
 				for _, sub := range subs[i : j+1] {
 					if sub.op == opBatch || sub.op == opHello || sub.op == opSnapshot || sub.op == opRestore ||
 						sub.op == opHealth || sub.op == opAddStore {
-						run = appendBatchSubResp(run, statusErr, []byte(fmt.Sprintf("opcode %d not allowed in batch", sub.op)))
+						out = appendBatchSubResp(out, statusErr, []byte(fmt.Sprintf("opcode %d not allowed in batch", sub.op)))
 						continue
 					}
 					subResp, err := s.dispatch(sub.op, sub.shard, sub.body, false)
 					if err != nil {
-						run = appendBatchSubResp(run, statusErr, []byte(err.Error()))
+						out = appendBatchSubResp(out, statusErr, []byte(err.Error()))
 					} else {
-						run = appendBatchSubResp(run, statusOK, subResp)
+						out = appendBatchSubResp(out, statusOK, subResp)
 					}
 				}
 			}
-			out = append(out, run...)
 			i = j + 1
 			// An over-large aggregate response must fail this one request
 			// with a clean error, not kill the connection when the
@@ -879,38 +877,71 @@ type batchSub struct {
 	body  []byte
 }
 
+// runScratch is the working set of one grouped bucket run, pooled across
+// runs: stores copy what they keep (the Store contract), so every slice
+// is free again once the run's response is encoded.
+type runScratch struct {
+	refs  []oram.BucketRef
+	bufs  [][]oram.Slot
+	slots []oram.Slot
+	arena []byte
+}
+
+var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
 // dispatchBucketRun executes a run of same-shard opReadBucket or
 // opWriteBucket sub-requests as a single BatchStore operation under the
-// shard lock, returning the concatenated per-sub responses. ok = false
-// declines the run — shard/ref validation failed, the store lacks batch
-// support, or the grouped call itself errored — and the caller falls back
-// to per-op dispatch, which reproduces exact per-sub status semantics.
-func (s *Server) dispatchBucketRun(subs []batchSub) (resp []byte, ok bool) {
+// shard lock, appending the per-sub responses to out. ok = false declines
+// the run, leaving out as it was — shard/ref validation failed, the store
+// lacks batch support, or the grouped call itself errored — and the caller
+// falls back to per-op dispatch, which reproduces exact per-sub status
+// semantics.
+func (s *Server) dispatchBucketRun(subs []batchSub, out []byte) (_ []byte, ok bool) {
 	g := s.geom
 	store, lock, err := s.shardStore(subs[0].shard)
 	if err != nil {
-		return nil, false
+		return out, false
 	}
 	bs, isBatch := store.(oram.BatchStore)
 	if !isBatch {
-		return nil, false
+		return out, false
 	}
-	refs := make([]oram.BucketRef, len(subs))
-	bufs := make([][]oram.Slot, len(subs))
+	sc := runScratchPool.Get().(*runScratch)
+	defer runScratchPool.Put(sc)
+	refs := slices.Grow(sc.refs[:0], len(subs))[:len(subs)]
+	bufs := slices.Grow(sc.bufs[:0], len(subs))[:len(subs)]
+	sc.refs, sc.bufs = refs, bufs
+	total := 0
+	for i, sub := range subs {
+		level, node, _, err := parseBucketRef(sub.body)
+		if err != nil || level < 0 || level >= g.Levels() || node >= 1<<uint(level) {
+			return out, false
+		}
+		refs[i] = oram.BucketRef{Level: level, Node: node}
+		total += g.BucketSize(level)
+	}
+	// One slot array and one payload arena back the whole run: stores
+	// read (and parseSlot decodes) into the payload capacity.
+	bsz := g.BlockSize()
+	slots := slices.Grow(sc.slots[:0], total)[:total]
+	sc.slots = slots
+	sc.arena = slices.Grow(sc.arena[:0], total*bsz)[:total*bsz]
+	for k := range slots {
+		slots[k] = oram.Slot{}
+		if bsz > 0 {
+			slots[k].Payload = sc.arena[k*bsz : (k+1)*bsz : (k+1)*bsz]
+		}
+	}
 	reads := subs[0].op == opReadBucket
 	for i, sub := range subs {
-		level, node, rest, err := parseBucketRef(sub.body)
-		if err != nil || level < 0 || level >= g.Levels() || node >= 1<<uint(level) {
-			return nil, false
-		}
-		z := g.BucketSize(level)
-		refs[i] = oram.BucketRef{Level: level, Node: node}
-		bufs[i] = make([]oram.Slot, z)
+		z := g.BucketSize(refs[i].Level)
+		bufs[i], slots = slots[:z:z], slots[z:]
 		if !reads {
+			rest := sub.body[bucketRefLen:]
 			for k := 0; k < z; k++ {
 				rest, err = parseSlot(rest, &bufs[i][k])
 				if err != nil {
-					return nil, false
+					return out, false
 				}
 			}
 		}
@@ -923,20 +954,33 @@ func (s *Server) dispatchBucketRun(subs []batchSub) (resp []byte, ok bool) {
 	}
 	lock.Unlock()
 	if err != nil {
-		return nil, false
+		return out, false
 	}
+	if !reads {
+		for range bufs {
+			out = appendBatchSubRespHeader(out, statusOK, 0)
+		}
+		return out, true
+	}
+	size := 0
 	for i := range bufs {
-		if reads {
-			var body []byte
-			for k := range bufs[i] {
-				body = appendSlot(body, &bufs[i][k])
-			}
-			resp = appendBatchSubResp(resp, statusOK, body)
-		} else {
-			resp = appendBatchSubResp(resp, statusOK, nil)
+		size += 5
+		for k := range bufs[i] {
+			size += slotWireLen(&bufs[i][k])
 		}
 	}
-	return resp, true
+	out = slices.Grow(out, size)
+	for i := range bufs {
+		n := 0
+		for k := range bufs[i] {
+			n += slotWireLen(&bufs[i][k])
+		}
+		out = appendBatchSubRespHeader(out, statusOK, n)
+		for k := range bufs[i] {
+			out = appendSlot(out, &bufs[i][k])
+		}
+	}
+	return out, true
 }
 
 // isClosedConn reports the "use of closed network connection" error that

@@ -194,38 +194,21 @@ func (e *Engine) Write(id uint64, data []byte) error {
 }
 
 // ReadBatch fans ids out to per-shard workers and merges the payloads back
-// in request order. Within a shard, accesses execute in batch order, so
-// results are deterministic for a fixed seed regardless of scheduling.
+// in request order. Each lane runs as oram.Client.AccessBatch joint
+// fetches, its accesses served in batch order, so results are
+// deterministic for a fixed seed regardless of scheduling.
 func (e *Engine) ReadBatch(ids []uint64) ([][]byte, error) {
 	return e.ReadBatchContext(context.Background(), ids)
 }
 
 // ReadBatchContext is ReadBatch with cooperative cancellation: every shard
-// worker checks ctx before each access, so a cancelled context drains the
-// fan-out at the next access boundary and returns ctx.Err(). The check
-// consumes no randomness — an uncancelled batch is byte-identical to
-// ReadBatch.
+// worker checks ctx before each joint fetch (at most oram.JointAccesses
+// accesses), so a cancelled context drains the fan-out at the next joint
+// fetch boundary and returns ctx.Err(). The check consumes no randomness —
+// an uncancelled batch is byte-identical to ReadBatch.
 func (e *Engine) ReadBatchContext(ctx context.Context, ids []uint64) ([][]byte, error) {
 	out := make([][]byte, len(ids))
-	lanes, err := e.split(ids)
-	if err != nil {
-		return nil, err
-	}
-	err = e.fanOut(func(s int) error {
-		c := e.subs[s].Client
-		for _, j := range lanes[s] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			p, err := c.Read(oram.BlockID(LocalID(ids[j], e.n)))
-			if err != nil {
-				return err
-			}
-			out[j] = p
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.batch(ctx, oram.OpRead, ids, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -242,18 +225,30 @@ func (e *Engine) WriteBatchContext(ctx context.Context, ids []uint64, data [][]b
 	if len(ids) != len(data) {
 		return fmt.Errorf("shard: WriteBatch got %d ids, %d payloads", len(ids), len(data))
 	}
+	return e.batch(ctx, oram.OpWrite, ids, data, nil)
+}
+
+// batch runs one op over ids, each shard's lane as one AccessBatch: writes
+// take data[j], reads land in out[j].
+func (e *Engine) batch(ctx context.Context, op oram.Op, ids []uint64, data, out [][]byte) error {
 	lanes, err := e.split(ids)
 	if err != nil {
 		return err
 	}
 	return e.fanOut(func(s int) error {
-		c := e.subs[s].Client
-		for _, j := range lanes[s] {
-			if err := ctx.Err(); err != nil {
-				return err
+		acc := make([]oram.BatchAccess, len(lanes[s]))
+		for i, j := range lanes[s] {
+			acc[i] = oram.BatchAccess{Op: op, ID: oram.BlockID(LocalID(ids[j], e.n))}
+			if data != nil {
+				acc[i].Data = data[j]
 			}
-			if err := c.Write(oram.BlockID(LocalID(ids[j], e.n)), data[j]); err != nil {
-				return err
+		}
+		if err := e.subs[s].Client.AccessBatch(ctx, acc); err != nil {
+			return err
+		}
+		if out != nil {
+			for i, j := range lanes[s] {
+				out[j] = acc[i].Out
 			}
 		}
 		return nil

@@ -730,15 +730,19 @@ func (o *ORAM) Write(id uint64, data []byte) error {
 // ReadBatch obliviously fetches a batch of blocks, fanning the requests
 // out to per-shard worker goroutines and merging the payloads back in
 // request order (with one shard, the batch runs sequentially inline).
+// Each shard's share runs as joint fetches of up to 64 accesses: one
+// batched read of one path per access, then one joint write-back (§IV-A's
+// batch-granularity fetch), so the server sees one uniformly random leaf
+// per access whatever the IDs and their repeats.
 func (o *ORAM) ReadBatch(ids []uint64) ([][]byte, error) {
 	return o.eng.ReadBatch(ids)
 }
 
 // ReadBatchContext is ReadBatch with cooperative cancellation: every shard
-// worker checks ctx before each access, so a cancelled context drains the
-// fan-out at the next access boundary and returns ctx.Err(). The check
-// consumes no randomness — an uncancelled batch is byte-identical to
-// ReadBatch.
+// worker checks ctx before each joint fetch, so a cancelled context drains
+// the fan-out at the next joint-fetch boundary (at most 64 accesses per
+// shard later) and returns ctx.Err(). The check consumes no randomness —
+// an uncancelled batch is byte-identical to ReadBatch.
 func (o *ORAM) ReadBatchContext(ctx context.Context, ids []uint64) ([][]byte, error) {
 	return o.eng.ReadBatchContext(ctx, ids)
 }
