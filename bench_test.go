@@ -224,9 +224,9 @@ func BenchmarkPreprocessingThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 && res.Stats.PreprocessPerAccess > 0 {
-			b.ReportMetric(float64(res.Stats.PreprocessPerAccess.Nanoseconds()), "ns-preproc/access")
-			b.ReportMetric(float64(res.Stats.TrainPerAccess.Nanoseconds()), "ns-oram/access")
+		if i == 0 && res.PreprocessPerAccess > 0 {
+			b.ReportMetric(float64(res.PreprocessPerAccess.Nanoseconds()), "ns-preproc/access")
+			b.ReportMetric(float64(res.TrainPerAccess.Nanoseconds()), "ns-oram/access")
 		}
 	}
 }

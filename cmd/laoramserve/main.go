@@ -7,7 +7,7 @@
 //
 // With -shards N the table is served as N independent shard trees (one
 // backing store per shard, the partition rules of internal/shard), matching
-// a client started with laoram.Options{Shards: N, RemoteAddr: ...}. Many
+// a client started with laoram.Options{Shards: N, RemoteAddrs: ...}. Many
 // clients may connect concurrently; requests are multiplexed per
 // connection and dispatched to a bounded worker pool with per-shard
 // locking.

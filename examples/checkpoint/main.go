@@ -4,10 +4,9 @@
 // (position map + stash) must be checkpointed alongside the model, or every
 // block in the tree becomes unreachable after a crash. This example trains
 // until the run is preempted (a cluster scheduler's cancellation, modelled
-// by a context cancelled mid-epoch — the executor stops cleanly at the
-// next superblock-bin boundary), checkpoints client and server state,
-// simulates the crash, restores into fresh objects, finishes the epoch,
-// and verifies the data.
+// by a context cancelled mid-epoch), checkpoints client and server state
+// with SaveState, simulates the crash, restores into a fresh instance with
+// LoadState, finishes the epoch, and verifies the data.
 //
 //	go run ./examples/checkpoint
 package main
@@ -19,140 +18,111 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/oram"
-	"repro/internal/superblock"
-	"repro/internal/trace"
+	laoram "repro"
 )
 
 func main() {
 	const blocks = 1 << 12
 	const blockSize = 64
-	const accesses = 4096
+	const window = 512
 	const S = 4
+	opts := laoram.Options{Entries: blocks, BlockSize: blockSize, Seed: 1}
 
-	// --- Phase 1: fresh trainer ---
-	g := oram.MustGeometry(oram.GeometryConfig{
-		LeafBits:  oram.LeafBitsFor(blocks),
-		LeafZ:     4,
-		BlockSize: blockSize,
-	})
-	store, err := oram.NewPayloadStore(g, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	client, err := oram.NewClient(oram.ClientConfig{
-		Store: store, Rand: trace.NewRNG(1),
-		Evict: oram.PaperEvict, StashHits: true, Blocks: blocks,
+	// One epoch over a permutation: every row is accessed exactly once, so
+	// each look-ahead window of the stream visits exactly window rows.
+	stream, err := laoram.GenerateTrace(laoram.TraceConfig{
+		Kind: laoram.TracePermutation, N: blocks, Count: blocks, Seed: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream := trace.PermutationEpochs(trace.NewRNG(2), blocks, accesses)
-	plan, err := superblock.NewPlan(stream, superblock.PlanConfig{
-		S: S, Leaves: g.Leaves(), Rand: trace.NewRNG(3),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	la, err := core.New(core.Config{Base: client, Plan: plan})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := la.LoadPrePlaced(blocks, func(id oram.BlockID) []byte {
-		b := make([]byte, blockSize)
-		b[0] = byte(id) // identity marker
-		return b
-	}); err != nil {
-		log.Fatal(err)
-	}
-
-	// Train until preempted: bump a counter in every visited row, and
-	// cancel the context halfway through the plan — the run stops at the
-	// next bin boundary with ctx.Err(), leaving client state consistent
-	// and checkpointable.
-	ctx, preempt := context.WithCancel(context.Background())
-	half := plan.Len() / 2
-	touch := func(id oram.BlockID, payload []byte) []byte {
+	visits := 0
+	touch := func(id uint64, payload []byte) []byte {
 		out := make([]byte, len(payload))
 		copy(out, payload)
 		out[1]++ // visit counter
+		visits++
 		return out
 	}
-	err = la.RunContext(ctx, func(id oram.BlockID, payload []byte) []byte {
-		if int(la.Stats().Bins) >= half-1 {
-			preempt() // SIGTERM arrives mid-epoch
-		}
-		return touch(id, payload)
+
+	// --- Phase 1: fresh trainer ---
+	db, err := laoram.New(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Train until preempted. The preemption notice arrives halfway through
+	// the epoch and is honoured at the end of the current window (visits
+	// reach a multiple of window): Train resumes at window granularity —
+	// TrainStats.Accesses counts fully executed windows only — so a
+	// checkpoint holding part of a window would replay that part.
+	ctx, preempt := context.WithCancel(context.Background())
+	st, err := db.Train(ctx, laoram.TrainOptions{
+		Source:     laoram.FromSlice(stream),
+		Superblock: S,
+		Window:     window,
+		PrePlace:   true,
+		Payload: func(id uint64) []byte {
+			b := make([]byte, blockSize)
+			b[0] = byte(id) // identity marker
+			return b
+		},
+		Visit: func(id uint64, payload []byte) []byte {
+			out := touch(id, payload)
+			if visits >= len(stream)/2 && visits%window == 0 {
+				preempt() // SIGTERM arrived; stop at this window boundary
+			}
+			return out
+		},
 	})
 	if !errors.Is(err, context.Canceled) {
 		log.Fatalf("expected preemption, got %v", err)
 	}
-	executed := int(la.Stats().Bins)
-	fmt.Printf("phase 1: preempted after %d of %d bins (clean bin boundary)\n", executed, plan.Len())
+	if st.Accesses != uint64(visits) {
+		log.Fatalf("preempted off a window boundary: %d accesses trained, %d visits", st.Accesses, visits)
+	}
+	fmt.Printf("phase 1: preempted after %d of %d accesses (%d windows)\n", st.Accesses, len(stream), st.Windows)
 
 	// --- Checkpoint ---
-	var clientSnap, storeSnap bytes.Buffer
-	if err := client.SaveState(&clientSnap); err != nil {
+	var snap bytes.Buffer
+	if err := db.SaveState(&snap); err != nil {
 		log.Fatal(err)
 	}
-	if err := store.Save(&storeSnap); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("checkpoint: client state %.1f KB, server tree %.1f MB\n",
-		float64(clientSnap.Len())/1024, float64(storeSnap.Len())/(1<<20))
+	fmt.Printf("checkpoint: client state + server tree %.1f MB\n", float64(snap.Len())/(1<<20))
 
 	// --- Simulated crash: everything in memory is gone ---
-	client, store, la = nil, nil, nil //nolint:ineffassign
+	db.Close()
 
 	// --- Phase 2: restore and resume ---
-	store2, err := oram.NewPayloadStore(g, nil)
+	db2, err := laoram.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store2.Load(bytes.NewReader(storeSnap.Bytes())); err != nil {
+	defer db2.Close()
+	if err := db2.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
 		log.Fatal(err)
 	}
-	client2, err := oram.NewClient(oram.ClientConfig{
-		Store: store2, Rand: trace.NewRNG(99), // fresh RNG is fine
-		Evict: oram.PaperEvict, StashHits: true, Blocks: blocks,
+	// Resume over the REMAINING stream. The restored instance is already
+	// loaded, so no PrePlace: blocks sit where the last window left them.
+	st2, err := db2.Train(context.Background(), laoram.TrainOptions{
+		Source:     laoram.FromSlice(stream[st.Accesses:]),
+		Superblock: S,
+		Window:     window,
+		Visit:      touch,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := client2.LoadState(bytes.NewReader(clientSnap.Bytes())); err != nil {
-		log.Fatal(err)
-	}
-	// Resume with a fresh plan over the REMAINING stream. Blocks were
-	// last remapped toward the old plan's future bins, so the new plan's
-	// first access of each block fetches it from its current (restored)
-	// position — a one-epoch warm-up of cold reads, after which look-
-	// ahead placement is converged again.
-	remaining := stream[executed*S:]
-	plan2, err := superblock.NewPlan(remaining, superblock.PlanConfig{
-		S: S, Leaves: g.Leaves(), Rand: trace.NewRNG(4),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	la2, err := core.New(core.Config{Base: client2, Plan: plan2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := la2.Run(touch); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("phase 2: trained remaining %d bins after restore (%d cold reads — re-warming look-ahead)\n",
-		plan2.Len(), la2.Stats().ColdPathReads)
+	fmt.Printf("phase 2: trained the remaining %d accesses after restore (%d windows)\n",
+		st2.Accesses, st2.Windows)
 
 	// --- Verify: every stream access contributed exactly one visit ---
-	want := map[oram.BlockID]byte{}
+	want := map[uint64]byte{}
 	for _, a := range stream {
-		want[oram.BlockID(a)]++
+		want[a]++
 	}
 	checked, mismatches := 0, 0
 	for id, w := range want {
-		payload, err := client2.Read(id)
+		payload, err := db2.Read(id)
 		if err != nil {
 			log.Fatal(err)
 		}

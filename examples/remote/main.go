@@ -59,9 +59,9 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	db, err := laoram.NewContext(ctx, laoram.Options{
-		Entries:    entries,
-		RemoteAddr: addr,
-		Seed:       9,
+		Entries:     entries,
+		RemoteAddrs: []string{addr},
+		Seed:        9,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -140,8 +140,13 @@ type Store struct {
 	// always fits in cache alongside the demand working set (0 = unpaced,
 	// unbounded budget).
 	pfLead int
-	ioErr  error // sticky background flush/evict error
-	closed bool
+	// diskSeq counts record writes to the arena. The prefetch worker reads
+	// records with mu dropped and installs one only if diskSeq is
+	// unchanged since the read: any write in between may have been this
+	// very bucket's write-back, making the record it read stale.
+	diskSeq uint64
+	ioErr   error // sticky background flush/evict error
+	closed  bool
 
 	flushWake chan struct{}
 	pfCh      chan []oram.Leaf
@@ -471,6 +476,7 @@ func (st *Store) markHeaderDirtyLocked() error {
 func (st *Store) writeEntryLocked(e *entry) error {
 	rec := e.body[:len(e.body)+crcLen]
 	stampRecord(rec)
+	st.diskSeq++
 	if _, err := st.f.WriteAt(rec, st.recOff(e.level, e.node)); err != nil {
 		return fmt.Errorf("diskstore: write bucket (%d,%d): %w", e.level, e.node, err)
 	}

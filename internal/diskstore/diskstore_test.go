@@ -486,6 +486,64 @@ func TestPrefetchUsefulAcrossReset(t *testing.T) {
 	}
 }
 
+// TestPrefetchSkipsStaleRecord: a prefetch whose disk read overlaps a
+// write-back of the same bucket must not install the record it read.
+// Between the prefetcher's read and install steps the demand path faults
+// the bucket in, rewrites it and evicts it back to disk; installing the
+// earlier record — CRC-valid, so nothing downstream would notice — would
+// silently lose the write.
+func TestPrefetchSkipsStaleRecord(t *testing.T) {
+	g := testGeometry(t, 4, 4, 16)
+	st, _ := openStore(t, g, 1, false) // budget clamps to two paths
+	defer st.Close()
+	const leaf = 3
+	lvl := g.Levels() - 1
+	node := g.NodeAt(leaf, lvl)
+	key := bucketKey(lvl, node)
+
+	rec := st.newScratch()[lvl]
+	seq, ok := st.prefetchRead(lvl, node, rec)
+	if !ok {
+		t.Fatal("prefetch read of a cold bucket failed")
+	}
+
+	want := make([]oram.Slot, g.BucketSize(lvl))
+	for k := range want {
+		want[k] = oram.DummySlot()
+	}
+	want[0] = oram.Slot{ID: 7, Leaf: leaf, Payload: bytes.Repeat([]byte{0xAB}, g.BlockSize())}
+	if err := st.WriteBucket(lvl, node, want); err != nil {
+		t.Fatal(err)
+	}
+	path := make([][]oram.Slot, g.Levels())
+	for l := range path {
+		path[l] = make([]oram.Slot, g.BucketSize(l))
+	}
+	for other := oram.Leaf(8); other < 16; other++ {
+		if err := st.ReadPath(other, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.mu.Lock()
+	_, resident := st.cache[key]
+	st.mu.Unlock()
+	if resident {
+		t.Fatal("written bucket still resident after thrashing a two-path budget")
+	}
+
+	st.prefetchInstall(lvl, node, rec, seq)
+	got := make([]oram.Slot, g.BucketSize(lvl))
+	if err := st.ReadBucket(lvl, node, got); err != nil {
+		t.Fatal(err)
+	}
+	if !slotsEqual(want, got) {
+		t.Fatalf("stale prefetched record installed over a written-back bucket: got %+v", got[0])
+	}
+	if n := st.TierStats().PrefetchIssued; n != 0 {
+		t.Fatalf("stale prefetch counted as issued (%d)", n)
+	}
+}
+
 // TestSealedStore exercises the sealed-at-rest path: payloads round-trip
 // through seal/open and the arena never holds plaintext.
 func TestSealedStore(t *testing.T) {

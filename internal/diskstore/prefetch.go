@@ -27,11 +27,12 @@ func (st *Store) PrefetchPaths(leaves []oram.Leaf) {
 
 // prefetcher is the look-ahead worker: it walks each hinted path and
 // faults uncached buckets from disk into the memory tier. All its disk
-// activity is reads; a CRC mismatch here is the benign signature of
-// racing a concurrent flush/evict pwrite of the same bucket (in which
-// case the bucket is dirty-in-cache or about to be, so the demand path
-// will not miss on it) and is skipped silently — the demand path is the
-// arbiter of integrity.
+// activity is reads, taken with mu dropped, so a concurrent write-back
+// can leave what it read torn (a CRC mismatch) or stale (a valid record
+// the demand path has since faulted in, rewritten and evicted back to
+// disk). Either way the record is discarded — prefetchInstall skips any
+// read that a disk write overlapped — and the demand path, the arbiter of
+// integrity, reads the bucket itself.
 func (st *Store) prefetcher() {
 	defer st.wg.Done()
 	scratch := st.newScratch()
@@ -119,22 +120,36 @@ func (st *Store) pfGate(i int) (stale, ok bool) {
 
 // prefetchBucket faults one bucket in if it is not already resident.
 func (st *Store) prefetchBucket(level int, node uint64, rec []byte) {
-	key := bucketKey(level, node)
+	if seq, ok := st.prefetchRead(level, node, rec); ok {
+		st.prefetchInstall(level, node, rec, seq)
+	}
+}
+
+// prefetchRead reads bucket (level, node)'s record into rec with mu
+// dropped and returns the disk-write sequence the read started under. ok
+// is false when the bucket is resident or the read fails or is torn.
+func (st *Store) prefetchRead(level int, node uint64, rec []byte) (seq uint64, ok bool) {
 	st.mu.Lock()
-	_, resident := st.cache[key]
+	_, resident := st.cache[bucketKey(level, node)]
+	seq = st.diskSeq
 	st.mu.Unlock()
 	if resident {
-		return
+		return 0, false
 	}
 	if _, err := st.f.ReadAt(rec, st.recOff(level, node)); err != nil {
-		return
+		return 0, false
 	}
-	if verifyRecord(rec) != nil {
-		return // racing a concurrent flush of this bucket — skip
-	}
+	return seq, verifyRecord(rec) == nil
+}
+
+// prefetchInstall caches the record prefetchRead left in rec, unless the
+// bucket became resident, the store closed, or any record was written
+// since the read began (diskSeq moved past seq): the record may then
+// predate the bucket's latest write-back.
+func (st *Store) prefetchInstall(level int, node uint64, rec []byte, seq uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, resident := st.cache[key]; resident || st.closed {
+	if _, resident := st.cache[bucketKey(level, node)]; resident || st.closed || st.diskSeq != seq {
 		return
 	}
 	e := st.newEntry(level, node, rec)

@@ -141,6 +141,7 @@ func (st *Store) Load(r io.Reader) error {
 	st.dq = nil
 	st.used = 0
 	st.pfBytes = 0
+	st.diskSeq++ // every record is rewritten: in-flight prefetch reads are stale
 	w := newOffsetWriter(st.f, headerLen)
 	slot := 0
 	for lvl := 0; lvl < st.geom.Levels(); lvl++ {

@@ -1,10 +1,11 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/batch"
+	laoram "repro"
 	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/oram"
@@ -543,10 +544,15 @@ func (r *MemNeutralResult) Render() string {
 
 // PreprocResult reproduces §VIII-A: preprocessing timing vs training.
 type PreprocResult struct {
-	Stats batch.Stats
+	Stats laoram.TrainStats
+	// PreprocessPerAccess and TrainPerAccess are Stats.PlanTime and
+	// Stats.TrainTime per trained access.
+	PreprocessPerAccess time.Duration
+	TrainPerAccess      time.Duration
 }
 
-// Preproc runs the two-stage pipeline on the Kaggle-like workload.
+// Preproc runs the streaming two-stage pipeline (ORAM.Train) on the
+// Kaggle-like workload: four look-ahead windows, double-buffered.
 func Preproc(sc Scale, seed int64) (*PreprocResult, error) {
 	entries := sc.KaggleRows
 	stream, err := workloadStream(trace.KindKaggle, entries, sc.Accesses, seed)
@@ -557,34 +563,23 @@ func Preproc(sc Scale, seed int64) (*PreprocResult, error) {
 	if window < 8 {
 		window = 8
 	}
-	p, err := batch.NewPipeline(batch.PipelineConfig{
-		Stream: stream, S: 4, WindowAccesses: window, Depth: 2, Seed: seed + 13,
+	db, err := laoram.New(laoram.Options{Entries: entries, MetadataOnly: true, Seed: seed + 13})
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	st, err := db.Train(context.Background(), laoram.TrainOptions{
+		Source: laoram.FromSlice(stream), Superblock: 4, Window: window, Depth: 2, PrePlace: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	g, err := oram.NewGeometry(oram.GeometryConfig{
-		LeafBits: oram.LeafBitsFor(entries), LeafZ: 4, BlockSize: 128,
-	})
-	if err != nil {
-		return nil, err
+	res := &PreprocResult{Stats: *st}
+	if st.Accesses > 0 {
+		res.PreprocessPerAccess = st.PlanTime / time.Duration(st.Accesses)
+		res.TrainPerAccess = st.TrainTime / time.Duration(st.Accesses)
 	}
-	base, err := oram.NewClient(oram.ClientConfig{
-		Store: oram.NewCountingStore(oram.NewMetaStore(g), nil),
-		Rand:  trace.NewRNG(seed + 14), Evict: oram.PaperEvict,
-		StashHits: true, Blocks: entries,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := p.PrePlaceFirstWindow(base, entries, nil); err != nil {
-		return nil, err
-	}
-	st, err := p.Run(base, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &PreprocResult{Stats: st}, nil
+	return res, nil
 }
 
 // Render formats the pipeline measurement.
@@ -595,16 +590,16 @@ func (r *PreprocResult) Render() string {
 	}
 	s := r.Stats
 	t.AddRow("windows", fmt.Sprintf("%d", s.Windows))
-	t.AddRow("bins", fmt.Sprintf("%d", s.Bins))
+	t.AddRow("bins", fmt.Sprintf("%d", s.Session.Bins))
 	t.AddRow("accesses", fmt.Sprintf("%d", s.Accesses))
-	t.AddRow("preprocess total", s.PreprocessTime.String())
+	t.AddRow("preprocess total", s.PlanTime.String())
 	t.AddRow("train (ORAM) total", s.TrainTime.String())
 	t.AddRow("trainer stalled", s.TrainerStalled.String())
-	t.AddRow("preprocess / access", s.PreprocessPerAccess.String())
-	t.AddRow("train / access", s.TrainPerAccess.String())
-	if s.TrainPerAccess > 0 {
+	t.AddRow("preprocess / access", r.PreprocessPerAccess.String())
+	t.AddRow("train / access", r.TrainPerAccess.String())
+	if r.PreprocessPerAccess > 0 {
 		t.AddNote("preprocessing is %.0fx cheaper per access — off the critical path, as §VIII-A reports",
-			float64(s.TrainPerAccess)/float64(s.PreprocessPerAccess))
+			float64(r.TrainPerAccess)/float64(r.PreprocessPerAccess))
 	}
 	return t.Render()
 }

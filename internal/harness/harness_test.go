@@ -265,9 +265,9 @@ func TestPreprocShape(t *testing.T) {
 	if s.Accesses == 0 || s.Windows == 0 {
 		t.Fatalf("empty run: %+v", s)
 	}
-	if s.PreprocessPerAccess*2 >= s.TrainPerAccess {
+	if res.PreprocessPerAccess*2 >= res.TrainPerAccess {
 		t.Errorf("preprocessing (%v/access) should be well below ORAM cost (%v/access)",
-			s.PreprocessPerAccess, s.TrainPerAccess)
+			res.PreprocessPerAccess, res.TrainPerAccess)
 	}
 	if !strings.Contains(res.Render(), "VIII-A") {
 		t.Error("render missing title")

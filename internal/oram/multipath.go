@@ -169,8 +169,8 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // whole union ships in a single store operation.
 //
 // Superblock clients need this whenever a single logical access fetches
-// more than one path: LAORAM bins with cold members (§IV-A), PrORAM
-// dynamic superblocks right after a merge, and AccessBatch's joint fetches.
+// more than one path: LAORAM bins with cold members (§IV-A) and
+// AccessBatch's joint fetches.
 //
 // Placement is the same greedy rule as WriteBackPath, generalised: buckets
 // are filled deepest level first, and each takes, in ascending ID order,

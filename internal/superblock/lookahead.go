@@ -1,6 +1,7 @@
-// Package superblock implements the superblock machinery of the paper:
-// LAORAM's look-ahead preprocessor (§IV-B) and the PrORAM static/dynamic
-// baselines it is compared against (§II-D).
+// Package superblock implements LAORAM's look-ahead preprocessor (§IV-B):
+// the dataset scan that bins upcoming accesses into superblocks and
+// assigns each bin a uniformly random path, plus the Cursor the §IV-A
+// executor walks the plan with.
 //
 // A superblock is a set of data blocks assigned to the same ORAM path, so
 // one path fetch serves the whole set. LAORAM's insight is that training

@@ -212,8 +212,8 @@ func Uniform(rng *rand.Rand, n uint64, count int) []uint64 {
 	return out
 }
 
-// Sequential returns 0,1,2,...,count-1 mod n — the best case for PrORAM's
-// spatial-locality superblocks, used to validate the PrORAM baseline.
+// Sequential returns 0,1,2,...,count-1 mod n — a perfectly regular
+// stream with no reuse inside a table sweep.
 func Sequential(n uint64, count int) []uint64 {
 	out := make([]uint64, count)
 	for i := range out {

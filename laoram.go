@@ -90,7 +90,7 @@ type Options struct {
 	// bytes included — are byte-identical: parallel seals draw their CTR
 	// counter sequence from a deterministic per-slot reservation, not
 	// from scheduling order. Applies to local encrypted stores (Encrypt
-	// without MetadataOnly/RemoteAddr); ignored otherwise.
+	// without MetadataOnly/RemoteAddrs); ignored otherwise.
 	CryptoWorkers int
 	// Key is the optional 32-byte sealing key; nil generates a random
 	// one.
@@ -105,23 +105,20 @@ type Options struct {
 	// instances (internal/shard), each with its own position map, stash,
 	// tree and preprocessor. 0 or 1 (the default) keeps today's
 	// single-instance behaviour; batch operations and Sessions then fan
-	// out to per-shard worker goroutines. Composes with RemoteAddr: the
-	// server must expose exactly Shards shard stores (laoramserve
-	// -shards N), and every shard lane then pipelines its requests on
-	// one multiplexed connection.
+	// out to per-shard worker goroutines. Composes with RemoteAddrs: with
+	// one node, the server must expose exactly Shards shard stores
+	// (laoramserve -shards N), and every shard lane then pipelines its
+	// requests on one multiplexed connection.
 	Shards int
-	// RemoteAddr, when set, uses a laoramserve instance at this address
-	// as server storage instead of in-process memory. Entries must match
-	// the server's tree capacity; BlockSize/BucketSize/FatTree are taken
-	// from the server. Shorthand for a one-element RemoteAddrs; setting
-	// both is an error.
-	RemoteAddr string
-	// RemoteAddrs spreads the shard trees across N laoramserve nodes —
-	// the multi-node serving tier. Placement is fixed and public: node j
-	// (RemoteAddrs[j]) serves every shard i with i % N == j, addressed
-	// there by local store index i / N, so node j must run laoramserve
-	// with -shards equal to its placement count (validated at dial time).
-	// The client keeps one multiplexed connection per node, dialled
+	// RemoteAddrs, when set, uses laoramserve instances at these
+	// addresses as server storage instead of in-process memory. Entries
+	// must match the server's tree capacity; BlockSize/BucketSize/FatTree
+	// are taken from the server. With N > 1 addresses the shard trees
+	// spread across the nodes — the multi-node serving tier. Placement is
+	// fixed and public: node j (RemoteAddrs[j]) serves every shard i with
+	// i % N == j, addressed there by local store index i / N, so node j
+	// must run laoramserve with -shards equal to its placement count
+	// (validated at dial time). The client keeps one multiplexed connection per node, dialled
 	// concurrently at construction. N must not exceed Shards (a node with
 	// no shards would be dead weight). Placement is public information —
 	// which shard an access routes to already depends only on the public
@@ -178,7 +175,7 @@ type Options struct {
 	// Existing clean arenas are resumed; an arena from a crashed run fails
 	// construction with diskstore.ErrUnclean inside the error chain.
 	// Incompatible with MetadataOnly (a 16 B/slot tree fits in RAM by
-	// construction) and with RemoteAddr/RemoteAddrs (the server owns its
+	// construction) and with RemoteAddrs (the server owns its
 	// storage; use laoramserve -data-dir for a disk-backed serving tier).
 	DataDir string
 	// MemBudget bounds the disk-backed stores' total in-memory bucket
@@ -218,15 +215,9 @@ func (o Options) shards() int {
 	return o.Shards
 }
 
-// remoteAddrs resolves RemoteAddr/RemoteAddrs to the node list (nil when
+// remoteAddrs validates RemoteAddrs and returns the node list (nil when
 // local).
 func (o Options) remoteAddrs() ([]string, error) {
-	if o.RemoteAddr != "" && len(o.RemoteAddrs) > 0 {
-		return nil, fmt.Errorf("laoram: set Options.RemoteAddr or Options.RemoteAddrs, not both")
-	}
-	if o.RemoteAddr != "" {
-		return []string{o.RemoteAddr}, nil
-	}
 	for j, a := range o.RemoteAddrs {
 		if a == "" {
 			return nil, fmt.Errorf("laoram: Options.RemoteAddrs[%d] is empty", j)

@@ -21,7 +21,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Encrypt: true, Key: []byte("short")}); err == nil {
 		t.Error("short key accepted")
 	}
-	if _, err := New(Options{Entries: 8, RemoteAddr: "127.0.0.1:1"}); err == nil {
+	if _, err := New(Options{Entries: 8, RemoteAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("dead remote accepted")
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Encrypt: true, CryptoWorkers: -1}); err == nil {
@@ -271,7 +271,7 @@ func TestRemoteOption(t *testing.T) {
 	}
 	defer srv.Close()
 
-	db, err := New(Options{Entries: 256, RemoteAddr: addr, Seed: 8})
+	db, err := New(Options{Entries: 256, RemoteAddrs: []string{addr}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRemoteOption(t *testing.T) {
 		t.Error("remote round trip failed")
 	}
 	// Entries exceeding the remote tree are rejected.
-	if _, err := New(Options{Entries: 1 << 20, RemoteAddr: addr}); err == nil {
+	if _, err := New(Options{Entries: 1 << 20, RemoteAddrs: []string{addr}}); err == nil {
 		t.Error("oversized Entries accepted for small remote tree")
 	}
 }

@@ -242,8 +242,8 @@ func TestShardedSession(t *testing.T) {
 
 // TestShardsValidation pins the sharding-specific construction errors.
 func TestShardsValidation(t *testing.T) {
-	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 2, RemoteAddr: "127.0.0.1:1"}); err == nil {
-		t.Error("Shards > 1 with RemoteAddr accepted")
+	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 2, RemoteAddrs: []string{"127.0.0.1:1"}}); err == nil {
+		t.Error("Shards > 1 against a dead remote accepted")
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 16}); err == nil {
 		t.Error("more shards than entries accepted")

@@ -165,7 +165,7 @@ func TestTieredOptionValidation(t *testing.T) {
 		{"budget without data dir", func(o *Options) { o.MemBudget = 1 << 20 }, "requires Options.DataDir"},
 		{"disable prefetch without data dir", func(o *Options) { o.DisablePrefetch = true }, "requires Options.DataDir"},
 		{"metadata-only on disk", func(o *Options) { o.DataDir = t.TempDir(); o.MetadataOnly = true }, "MetadataOnly"},
-		{"remote with data dir", func(o *Options) { o.DataDir = t.TempDir(); o.RemoteAddr = "127.0.0.1:1" }, "laoramserve -data-dir"},
+		{"remote with data dir", func(o *Options) { o.DataDir = t.TempDir(); o.RemoteAddrs = []string{"127.0.0.1:1"} }, "laoramserve -data-dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -207,7 +207,7 @@ func (o *ORAM) NewTrainer(opts TrainOptions) (*Trainer, error) {
 
 // Train runs the pipeline to completion (or until ctx is cancelled, in
 // which case it returns ctx.Err() after the planner goroutine and every
-// shard worker have drained). Cancelling a run over RemoteAddr also closes
+// shard worker have drained). Cancelling a run over RemoteAddrs also closes
 // the server connection — the only way to unblock a request stalled on a
 // dead network — so the instance is not usable after a cancelled remote
 // run. A Trainer is single-use: run it once.

@@ -361,7 +361,7 @@ func TestTrainCancelRemote(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	db, err := NewContext(ctx, Options{Entries: entries, RemoteAddr: addr, Seed: 23})
+	db, err := NewContext(ctx, Options{Entries: entries, RemoteAddrs: []string{addr}, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
