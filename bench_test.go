@@ -397,66 +397,6 @@ func BenchmarkPathORAMAccessEncrypted(b *testing.B) {
 	}
 }
 
-// BenchmarkLAORAMBin measures one superblock bin (4 logical accesses) in
-// steady state.
-func BenchmarkLAORAMBin(b *testing.B) {
-	const entries = 1 << 16
-	const S = 4
-	db, err := laoram.New(laoram.Options{Entries: entries, BlockSize: 128, FatTree: true, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	// A long permutation stream so the plan outlasts b.N bins.
-	stream, err := laoram.GenerateTrace(laoram.TraceConfig{
-		Kind: laoram.TracePermutation, N: entries, Count: 4 * entries, Seed: 6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := db.Preprocess(stream, S)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := db.LoadForPlan(plan, nil); err != nil {
-		b.Fatal(err)
-	}
-	session, err := db.NewSession(plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		more, err := session.Step(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !more {
-			b.StopTimer()
-			// Rebuild a fresh session when the plan runs dry.
-			db2, err := laoram.New(laoram.Options{Entries: entries, BlockSize: 128, FatTree: true, Seed: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan2, err := db2.Preprocess(stream, S)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := db2.LoadForPlan(plan2, nil); err != nil {
-				b.Fatal(err)
-			}
-			db.Close()
-			db = db2
-			session, err = db2.NewSession(plan2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(S, "accesses/op")
-}
-
 // BenchmarkShardedReadBatch measures a 64-access oblivious batch through
 // the public API across shard counts (wall clock; per-shard worker
 // goroutines, so multicore hosts see near-linear scaling on top of the
@@ -488,30 +428,6 @@ func BenchmarkShardedReadBatch(b *testing.B) {
 			b.ReportMetric(batch, "accesses/op")
 		})
 	}
-}
-
-// BenchmarkPreprocessorScan measures raw preprocessing throughput
-// (accesses scanned per second) — the §VIII-A numerator.
-func BenchmarkPreprocessorScan(b *testing.B) {
-	const entries = 1 << 16
-	db, err := laoram.New(laoram.Options{Entries: entries, MetadataOnly: true, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	stream, err := laoram.GenerateTrace(laoram.TraceConfig{
-		Kind: laoram.TraceKaggle, N: entries, Count: 100000, Seed: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Preprocess(stream, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(stream)), "accesses/op")
 }
 
 // BenchmarkStoreBucketIO measures the raw server-storage bucket path

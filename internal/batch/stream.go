@@ -28,8 +28,8 @@ type TrainConfig struct {
 	// S is the superblock size (default 4 when 0).
 	S int
 	// Window is the look-ahead horizon in global accesses per planning
-	// window; 0 plans the whole stream as one window (the one-shot
-	// shape, byte-identical to Preprocess + Session).
+	// window; 0 plans the whole stream as one window (byte-identical to
+	// executing the Engine.Preprocess plan).
 	Window int
 	// Depth is the bounded plan queue (default 2 when 0 — double
 	// buffering: plan window k+1 while executing window k).
@@ -209,17 +209,15 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	loaded := false
 	execute := func(w shard.PlannedWindow) error {
 		if cfg.PrePlace && !loaded {
-			// Pre-place window 0 (LoadForPlan leaves the rest of the
-			// table uniform). The load is excluded from Wall by shifting
-			// the clock origin: the one-shot flow loads before its
-			// session too.
+			// Pre-place window 0 (LoadForPlanContext leaves the rest of
+			// the table uniform). The load is excluded from Wall by
+			// shifting the clock origin.
 			loadStart := time.Now()
 			if err := e.LoadForPlanContext(ctx, w.Plan, cfg.Payload); err != nil {
 				return err
 			}
 			// Engine counters (and meters) describe the training run, not
-			// the bulk load — the LoadForPlan → ResetStats convention of
-			// the one-shot flow, applied internally.
+			// the bulk load.
 			e.ResetStats()
 			wallStart = wallStart.Add(time.Since(loadStart))
 			loaded = true
@@ -241,11 +239,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 			return err
 		}
 		runStart := time.Now()
-		if cfg.BatchBins > 0 {
-			err = sess.RunBatchedContext(ctx, cfg.BatchBins, cfg.NewVisit)
-		} else {
-			err = sess.RunContext(ctx, cfg.NewVisit)
-		}
+		err = sess.Run(ctx, cfg.BatchBins, nil, cfg.NewVisit)
 		st.TrainTime += time.Since(runStart)
 		ss := sess.Stats()
 		st.Bins += ss.Bins
@@ -340,7 +334,6 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 		return st, ctx.Err()
 	}
 	// A source that produces no indices is a successful no-op (zero
-	// windows), matching the one-shot flow's behaviour on an empty
-	// stream. Note PrePlace only triggers with at least one window.
+	// windows). Note PrePlace only triggers with at least one window.
 	return st, nil
 }

@@ -124,7 +124,7 @@ func TestStreamValidation(t *testing.T) {
 	if _, err := Train(ctx, e, &sliceSrc{}, TrainConfig{Payload: func(uint64) []byte { return nil }}); err == nil {
 		t.Error("Payload without PrePlace accepted")
 	}
-	// Empty streams are a successful no-op, matching one-shot Preprocess.
+	// Empty streams are a successful no-op, matching Engine.Preprocess.
 	if st, err := Train(ctx, e, &sliceSrc{}, TrainConfig{}); err != nil || st.Windows != 0 {
 		t.Errorf("empty stream: got %+v, %v; want 0-window success", st, err)
 	}

@@ -30,7 +30,7 @@ type fixtureConfig struct {
 	seed      int64
 }
 
-func newFixture(t *testing.T, fc fixtureConfig) *fixture {
+func newFixture(t testing.TB, fc fixtureConfig) *fixture {
 	t.Helper()
 	gc := oram.GeometryConfig{LeafBits: fc.leafBits, LeafZ: 4, BlockSize: fc.blockSize}
 	if fc.fat {
@@ -451,4 +451,38 @@ func TestStatsResetAndSnapshot(t *testing.T) {
 	if st.Bins != 0 || st.Accesses != 0 || st.ColdPathReads != 0 {
 		t.Errorf("reset incomplete: %+v", st)
 	}
+}
+
+// BenchmarkStepBin measures one superblock bin (4 logical accesses) in
+// steady state: a pre-placed fat tree of 128 B blocks executing a long
+// permutation plan, rebuilt whenever the plan runs dry.
+func BenchmarkStepBin(b *testing.B) {
+	const entries = 1 << 16
+	const S = 4
+	// A long permutation stream so the plan outlasts b.N bins.
+	stream, err := trace.Generate(trace.Config{
+		Kind: trace.KindPermutation, N: entries, Count: 4 * entries, Seed: 6,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	build := func() *LAORAM {
+		return newFixture(b, fixtureConfig{
+			leafBits: oram.LeafBitsFor(entries), blocks: entries, blockSize: 128, s: S,
+			fat: true, evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 5,
+		}).laoram
+	}
+	la := build()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if la.Done() {
+			b.StopTimer()
+			la = build()
+			b.StartTimer()
+		}
+		if _, err := la.StepBin(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(S, "accesses/op")
 }

@@ -32,8 +32,8 @@ type WindowSweepResult struct {
 
 // WindowSweep runs the permutation workload through the streaming Trainer
 // (TrainOptions.Window on the sharded engine) at decreasing look-ahead
-// windows. The full-stream point (Window = 0) is the one-shot flow's
-// behaviour; every smaller window trades planner memory and latency for
+// windows. The full-stream point (Window = 0) plans the whole stream as
+// one window; every smaller window trades planner memory and latency for
 // cold path reads.
 func WindowSweep(sc Scale, seed int64) (*WindowSweepResult, error) {
 	entries := sc.EntriesSmall

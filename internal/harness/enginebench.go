@@ -43,11 +43,11 @@ var engineBaseline = []EngineBenchRow{
 // §VIII-A overlap speedup of the pipelined Trainer over the sequential
 // arrive-plan-run schedule (see PipelineExp).
 type PipelineBench struct {
-	SeqWallMs   float64 `json:"seq_wall_ms"`
-	PipeWallMs  float64 `json:"pipelined_wall_ms"`
-	PlanMs      float64 `json:"plan_ms"`
-	TrainMs     float64 `json:"train_ms"`
-	StalledMs   float64 `json:"stalled_ms"`
+	SeqWallMs  float64 `json:"seq_wall_ms"`
+	PipeWallMs float64 `json:"pipelined_wall_ms"`
+	PlanMs     float64 `json:"plan_ms"`
+	TrainMs    float64 `json:"train_ms"`
+	StalledMs  float64 `json:"stalled_ms"`
 	// The first-class TrainStats pipeline counters (previously stalled_ms
 	// was the only stall observability and was inferred externally).
 	TrainerStalls    int     `json:"trainer_stalls"`

@@ -14,11 +14,11 @@ import (
 // "the preprocessing can then run ahead of the GPU training process". The
 // index stream of a real trainer is not a slice sitting in memory — it is
 // produced incrementally by the sample pipeline (a dataloader, a feature
-// queue) at a bounded rate. The one-shot API forces the sequential
-// schedule: wait for the whole stream to arrive, preprocess it, then
-// train. The streaming Trainer overlaps all three — indices arrive and are
-// binned into look-ahead windows while earlier windows execute — so the
-// stage-1 cost (stream arrival + §IV-B scan) hides behind ORAM execution.
+// queue) at a bounded rate. The sequential schedule waits for the whole
+// stream to arrive, preprocesses it, then trains. The streaming Trainer
+// overlaps all three — indices arrive and are binned into look-ahead
+// windows while earlier windows execute — so the stage-1 cost (stream
+// arrival + §IV-B scan) hides behind ORAM execution.
 //
 // The experiment runs identical work through both schedules and reports
 // the wall-clock speedup of the overlap. The feed rate is an explicit
@@ -96,7 +96,7 @@ func pipelineRun(sc Scale, seed int64, stream []uint64, ratePerSec int, sequenti
 }
 
 // PipelineExp calibrates the feed to this host's training throughput,
-// then runs the sequential baseline (the one-shot API's schedule: full
+// then runs the sequential baseline (TrainOptions.Sequential: full
 // stream arrives, then plan, then run) and the pipelined Trainer on
 // identical work and reports the overlap speedup.
 func PipelineExp(sc Scale, seed int64) (*PipelineResult, error) {
@@ -161,15 +161,15 @@ func PipelineExp(sc Scale, seed int64) (*PipelineResult, error) {
 			seq.Session, pipe.Session)
 	}
 	res := &PipelineResult{
-		Entries:   sc.EntriesSmall,
-		S:         8,
-		Window:    accesses / 16,
-		Depth:     2,
-		Accesses:  accesses,
-		Windows:   pipe.Windows,
-		FeedRate:  rate,
-		SeqWall:   seq.WallTime,
-		PipeWall:  pipe.WallTime,
+		Entries:        sc.EntriesSmall,
+		S:              8,
+		Window:         accesses / 16,
+		Depth:          2,
+		Accesses:       accesses,
+		Windows:        pipe.Windows,
+		FeedRate:       rate,
+		SeqWall:        seq.WallTime,
+		PipeWall:       pipe.WallTime,
 		PlanTime:       pipe.PlanTime,
 		TrainTime:      pipe.TrainTime,
 		Stalled:        pipe.TrainerStalled,
@@ -187,7 +187,7 @@ func PipelineExp(sc Scale, seed int64) (*PipelineResult, error) {
 // Render formats the pipeline experiment.
 func (r *PipelineResult) Render() string {
 	t := Table{
-		Title: fmt.Sprintf("Pipeline — §VIII-A overlap, streaming Trainer vs one-shot schedule (gaussian, N=%d, S=%d, window=%d, feed %dk idx/s)",
+		Title: fmt.Sprintf("Pipeline — §VIII-A overlap, streaming Trainer vs sequential schedule (gaussian, N=%d, S=%d, window=%d, feed %dk idx/s)",
 			r.Entries, r.S, r.Window, r.FeedRate/1000),
 		Headers: []string{"schedule", "wall", "plan", "train", "stalled"},
 	}

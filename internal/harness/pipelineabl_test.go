@@ -5,11 +5,11 @@ import "testing"
 // TestPipelineExperiment runs the §VIII-A overlap measurement at CI scale
 // and enforces the streaming-API acceptance bar: the pipelined Trainer
 // must be at least 1.3x faster wall-clock than the sequential
-// arrive-plan-run schedule the one-shot API forces. The feed is
-// calibrated to 1/1.5x the host's measured training throughput (the
-// arrival-bound regime), so the expected overlap win is ~1.6x on any
-// hardware — race detector included, since calibration absorbs its
-// slowdown — and 1.3 leaves margin for loaded hosts.
+// arrive-plan-run schedule. The feed is calibrated to 1/1.5x the host's
+// measured training throughput (the arrival-bound regime), so the
+// expected overlap win is ~1.6x on any hardware — race detector included,
+// since calibration absorbs its slowdown — and 1.3 leaves margin for
+// loaded hosts.
 func TestPipelineExperiment(t *testing.T) {
 	res, err := PipelineExp(CIScale(), 42)
 	if err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -64,9 +65,10 @@ func sealedExpKey() []byte {
 }
 
 // runSealed measures one fan-out width: an encrypted single-shard
-// instance, the one-shot §IV-B plan over the stream, pre-placed load, then
-// the whole plan executed in batched server round trips (the §IV-A
-// per-training-batch fetch) under a read-modify-write visitor.
+// instance trained over the stream as one look-ahead window (pre-placed
+// load), executed in batched server round trips (the §IV-A
+// per-training-batch fetch) under a read-modify-write visitor. The
+// returned wall time is the training stage's, excluding the load.
 func runSealed(sc Scale, seed int64, stream []uint64, workers, s, batchBins int) (time.Duration, laoram.SessionStats, error) {
 	db, err := laoram.New(laoram.Options{
 		Entries:       sc.EntriesSmall,
@@ -81,30 +83,25 @@ func runSealed(sc Scale, seed int64, stream []uint64, workers, s, batchBins int)
 		return 0, laoram.SessionStats{}, err
 	}
 	defer db.Close()
-	plan, err := db.Preprocess(stream, s)
+	st, err := db.Train(context.Background(), laoram.TrainOptions{
+		Source:     laoram.FromSlice(stream),
+		Superblock: s,
+		BatchBins:  batchBins,
+		PrePlace:   true,
+		Payload: func(id uint64) []byte {
+			row := make([]byte, 128)
+			row[0] = byte(id)
+			return row
+		},
+		Visit: func(id uint64, row []byte) []byte {
+			row[0]++ // minimal training update; the whole fetched path reseals on write-back
+			return row
+		},
+	})
 	if err != nil {
 		return 0, laoram.SessionStats{}, err
 	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte {
-		row := make([]byte, 128)
-		row[0] = byte(id)
-		return row
-	}); err != nil {
-		return 0, laoram.SessionStats{}, err
-	}
-	db.ResetStats()
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		return 0, laoram.SessionStats{}, err
-	}
-	start := time.Now()
-	if err := sess.RunBatched(batchBins, func(id uint64, row []byte) []byte {
-		row[0]++ // minimal training update; the whole fetched path reseals on write-back
-		return row
-	}); err != nil {
-		return 0, laoram.SessionStats{}, err
-	}
-	return time.Since(start), sess.Stats(), nil
+	return st.TrainTime, st.Session, nil
 }
 
 // SealedExp sweeps the crypto fan-out width over identical sealed batched

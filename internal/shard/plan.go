@@ -27,34 +27,6 @@ func (p *Plan) Shards() int { return p.n }
 // ShardPlan returns shard s's superblock plan (local-ID space).
 func (p *Plan) ShardPlan(s int) *superblock.Plan { return p.plans[s] }
 
-// Bins returns the total bin count across shards.
-func (p *Plan) Bins() int {
-	total := 0
-	for _, sp := range p.plans {
-		total += sp.Len()
-	}
-	return total
-}
-
-// UniqueBlocks returns the number of distinct global blocks in the plan
-// (partitions are disjoint, so the per-shard counts sum exactly).
-func (p *Plan) UniqueBlocks() int {
-	total := 0
-	for _, sp := range p.plans {
-		total += sp.UniqueBlocks()
-	}
-	return total
-}
-
-// MetadataBytes sums the per-shard (superblock → future path) metadata.
-func (p *Plan) MetadataBytes() int64 {
-	var total int64
-	for _, sp := range p.plans {
-		total += sp.MetadataBytes()
-	}
-	return total
-}
-
 // SplitStream partitions a global access stream into per-shard local-ID
 // streams, preserving relative order within each shard. With one shard the
 // split is the identity, so the returned slice aliases stream rather than
@@ -75,21 +47,23 @@ func SplitStream(stream []uint64, n int) [][]uint64 {
 // planner windows within one shard: window w of shard s draws its bin
 // paths with seed SeedFor(seed, s) + 1 + w*windowSeedStride. Window 0
 // therefore uses exactly the seed Preprocess uses — a full-stream window
-// is byte-identical to one-shot preprocessing — and later windows stay
-// clear of the other per-shard seed slots (client seed at +0, recursive
-// position map at +2).
+// is byte-identical to the Preprocess plan — and later windows stay clear
+// of the other per-shard seed slots (client seed at +0, recursive position
+// map at +2).
 const windowSeedStride = 131
 
 // planSeed returns the deterministic bin-path seed of planner window win
-// on shard s (window 0 is the one-shot Preprocess seed).
+// on shard s (window 0 is the Preprocess seed).
 func (e *Engine) planSeed(s, win int) int64 {
 	return SeedFor(e.seed, s) + 1 + int64(win)*windowSeedStride
 }
 
-// Preprocess runs the §IV-B scan per shard, concurrently: shard s bins its
-// local stream with superblock size sblk and draws bin paths from its own
-// tree's leaves with the deterministic seed SeedFor(seed, s)+1 (for a
-// 1-shard engine this is the seed the unsharded preprocessor uses).
+// Preprocess runs the §IV-B scan over a whole stream, per shard and
+// concurrently: shard s bins its local stream with superblock size sblk
+// and draws bin paths from its own tree's leaves with the deterministic
+// seed SeedFor(seed, s)+1 (for a 1-shard engine this is the seed the
+// unsharded preprocessor uses). It is the reference plan a full-stream
+// Planner window reproduces.
 func (e *Engine) Preprocess(stream []uint64, sblk int) (*Plan, error) {
 	for _, id := range stream {
 		if err := e.check(id); err != nil {
@@ -122,16 +96,11 @@ func (e *Engine) preprocessWindow(stream []uint64, sblk, win int) (*Plan, error)
 	return p, nil
 }
 
-// LoadForPlan bulk-initialises every shard concurrently with look-ahead
-// pre-placement: each block starts on the path of its first superblock bin
-// in its shard's plan (the converged steady state of §IV-B), everything
-// else uniformly.
-func (e *Engine) LoadForPlan(p *Plan, payload func(id uint64) []byte) error {
-	return e.LoadForPlanContext(context.Background(), p, payload)
-}
-
-// LoadForPlanContext is LoadForPlan with cooperative cancellation at shard
-// granularity (see LoadContext).
+// LoadForPlanContext bulk-initialises every shard concurrently with
+// look-ahead pre-placement: each block starts on the path of its first
+// superblock bin in its shard's plan (the converged steady state of
+// §IV-B), everything else uniformly. Cancellation is at shard granularity
+// (see LoadContext).
 func (e *Engine) LoadForPlanContext(ctx context.Context, p *Plan, payload func(id uint64) []byte) error {
 	if p == nil {
 		return fmt.Errorf("shard: nil plan")

@@ -10,7 +10,7 @@ import (
 )
 
 // Source is a pull-based stream of upcoming embedding indices — the
-// incremental form of the []uint64 access stream the one-shot Preprocess
+// incremental form of the []uint64 access stream Engine.Preprocess
 // takes. Read fills dst with the next indices of the training order and
 // returns how many it wrote; it returns io.EOF (possibly alongside n > 0)
 // when the stream ends. Read must block until it can deliver at least one
@@ -29,7 +29,7 @@ type PlannerConfig struct {
 	S int
 	// Window is the look-ahead horizon in global accesses per planning
 	// window. 0 means one window spanning the entire stream — the
-	// one-shot Preprocess shape, byte-identical to it by construction.
+	// Engine.Preprocess shape, byte-identical to it by construction.
 	// A positive Window must be >= S.
 	Window int
 	// Depth is the bounded plan queue: how many preprocessed windows may
@@ -85,7 +85,7 @@ type PlannedWindow struct {
 // on the same Engine.
 //
 // Window w of shard s draws its bin paths from the deterministic seed
-// planSeed(s, w); window 0 uses exactly the one-shot Preprocess seeds, so
+// planSeed(s, w); window 0 uses exactly the Engine.Preprocess seeds, so
 // a Planner with Window = 0 reproduces Engine.Preprocess byte-identically.
 type Planner struct {
 	e   *Engine

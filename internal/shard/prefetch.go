@@ -14,9 +14,9 @@ import "repro/internal/oram"
 // invariant #14).
 //
 // Hints fire from two sites: Planner.run (right after preprocessWindow —
-// the lead-time path) and Engine.NewSession (catch-up for plans built
-// without a planner, e.g. one-shot Preprocess). Duplicate hints are
-// harmless: the store skips already-resident buckets.
+// the lead-time path) and Engine.NewSession, which re-hints each window as
+// it starts. Duplicate hints are harmless: the store skips
+// already-resident buckets.
 func (e *Engine) prefetchPlan(p *Plan) {
 	if p == nil || p.n != e.n {
 		return

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -182,9 +183,10 @@ func TestWriteBatch(t *testing.T) {
 
 // TestSessionConcurrentMatchesSerial builds two identically-seeded engines
 // and executes the same sharded plan once via the concurrent Run scheduler
-// and once via the serial round-robin Step loop. Per-shard work is
-// deterministic given the seed, so the final table contents and the
-// aggregate counters must be identical regardless of lane interleaving.
+// and once via a serial round-robin StepBin loop over the lanes. Per-shard
+// work is deterministic given the seed, so the final table contents and
+// the aggregate counters must be identical regardless of lane
+// interleaving.
 func TestSessionConcurrentMatchesSerial(t *testing.T) {
 	const entries = 1 << 10
 	const bs = 16
@@ -193,38 +195,14 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	visitGen := func() NewVisit {
-		return func(shard int) Visit {
-			// Lane-local counter: deterministic per shard because each
-			// lane consumes its own bins in plan order.
-			var step byte
-			return func(id uint64, payload []byte) []byte {
-				step++
-				out := make([]byte, len(payload))
-				copy(out, payload)
-				out[0] = byte(id) ^ step
-				return out
-			}
-		}
-	}
 
 	run := func(concurrent bool) (*Engine, core.Stats) {
 		t.Helper()
 		e := payloadEngine(t, 4, entries, bs, 21)
-		plan, err := e.Preprocess(stream, S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.LoadForPlan(plan, func(id uint64) []byte { return payloadFor(id, bs) }); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := e.NewSession(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nv := visitGen()
+		sess := loadedSession(t, e, stream, S)
+		nv := laneVisits()
 		if concurrent {
-			if err := sess.Run(nv); err != nil {
+			if err := sess.Run(context.Background(), 0, nil, nv); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -232,19 +210,18 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 			for i := range visitors {
 				visitors[i] = nv(i)
 			}
-			// Serial round-robin through the same lanes (next() both
-			// selects the lane and advances the cursor).
-			for {
-				i := sess.next()
-				if i < 0 {
-					break
+			// Serial round-robin through the same lanes: one bin from the
+			// next lane with work, then move on.
+			for rr := 0; !sess.done(); rr = (rr + 1) % e.Shards() {
+				if sess.Lane(rr).Done() {
+					continue
 				}
-				if _, err := sess.Lane(i).StepBin(sess.wrap(i, visitors[i])); err != nil {
+				if _, err := sess.Lane(rr).StepBin(sess.wrap(rr, visitors[rr])); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if !sess.Done() {
+		if !sess.done() {
 			t.Fatal("session not done")
 		}
 		return e, sess.Stats()
@@ -255,24 +232,157 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 	if stConc != stSer {
 		t.Errorf("stats diverge: concurrent %+v serial %+v", stConc, stSer)
 	}
-	// Compare every block touched by the stream.
+	sameBlocks(t, eConc, eSer, stream)
+}
+
+// TestSessionRunSelectedLanes pins selected-lane execution, the primitive
+// behind re-placement catch-up: lanes left out of the selector do not move
+// (no lane progress, no server traffic), a selector of the wrong length is
+// rejected before any lane runs, and running a lane set and then its
+// complement ends byte-identical — table contents and every counter — to
+// running all lanes at once, stepping bin by bin or in batches.
+func TestSessionRunSelectedLanes(t *testing.T) {
+	const entries = 1 << 10
+	const bs = 16
+	const S = 4
+	const shards = 4
+	stream, err := trace.Generate(trace.Config{Kind: trace.KindKaggle, N: entries, Count: 4000, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sel := []bool{true, false, false, true}
+	comp := make([]bool, shards)
+	for i, on := range sel {
+		comp[i] = !on
+	}
+	for _, k := range []int{0, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			ref := payloadEngine(t, shards, entries, bs, 21)
+			refSess := loadedSession(t, ref, stream, S)
+			if err := refSess.Run(ctx, k, nil, laneVisits()); err != nil {
+				t.Fatal(err)
+			}
+
+			e := payloadEngine(t, shards, entries, bs, 21)
+			sess := loadedSession(t, e, stream, S)
+			lanes := func() ([]core.Stats, []oram.Counters) {
+				st := make([]core.Stats, shards)
+				cs := make([]oram.Counters, shards)
+				for i := range st {
+					st[i] = sess.Lane(i).Stats()
+					cs[i] = e.Sub(i).Store.Counters()
+				}
+				return st, cs
+			}
+			before, beforeIO := lanes()
+			if err := sess.Run(ctx, k, make([]bool, shards-1), nil); err == nil {
+				t.Fatal("selector of the wrong length accepted")
+			}
+			if err := sess.Run(ctx, -1, sel, nil); err == nil {
+				t.Fatal("negative batch size accepted")
+			}
+			nv := laneVisits()
+			if err := sess.Run(ctx, k, sel, nv); err != nil {
+				t.Fatal(err)
+			}
+			after, afterIO := lanes()
+			for i := 0; i < shards; i++ {
+				if sel[i] {
+					if !sess.Lane(i).Done() {
+						t.Errorf("selected lane %d not done", i)
+					}
+					continue
+				}
+				if sess.Lane(i).Done() || sess.Lane(i).Plan().Len() == 0 {
+					t.Fatalf("unselected lane %d has no plan left to run", i)
+				}
+				if after[i] != before[i] || afterIO[i] != beforeIO[i] {
+					t.Errorf("unselected lane %d moved: stats %+v -> %+v, io %+v -> %+v",
+						i, before[i], after[i], beforeIO[i], afterIO[i])
+				}
+			}
+			if err := sess.Run(ctx, k, comp, nv); err != nil {
+				t.Fatal(err)
+			}
+			if !sess.done() {
+				t.Fatal("session not done after running the complement")
+			}
+			if got, want := sess.Stats(), refSess.Stats(); got != want {
+				t.Errorf("session stats diverge: split %+v, all lanes %+v", got, want)
+			}
+			if got, want := e.Stats(), ref.Stats(); got != want {
+				t.Errorf("engine stats diverge: split %+v, all lanes %+v", got, want)
+			}
+			sameBlocks(t, e, ref, stream)
+		})
+	}
+}
+
+// loadedSession pre-places e for the whole-stream plan and opens a session
+// over it (test helper).
+func loadedSession(t *testing.T, e *Engine, stream []uint64, S int) *Session {
+	t.Helper()
+	plan, err := e.Preprocess(stream, S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadForPlanContext(context.Background(), plan, func(id uint64) []byte { return payloadFor(id, 16) }); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := e.NewSession(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// laneVisits builds lane-local visitors whose updates depend on the lane's
+// own bin order, so any change in per-lane execution shows in the bytes.
+func laneVisits() NewVisit {
+	return func(shard int) Visit {
+		var step byte
+		return func(id uint64, payload []byte) []byte {
+			step++
+			out := make([]byte, len(payload))
+			copy(out, payload)
+			out[0] = byte(id) ^ step
+			return out
+		}
+	}
+}
+
+// sameBlocks fails unless a and b hold identical bytes for every block the
+// stream touched.
+func sameBlocks(t *testing.T, a, b *Engine, stream []uint64) {
+	t.Helper()
 	uniq := map[uint64]bool{}
 	for _, id := range stream {
 		uniq[id] = true
 	}
 	for id := range uniq {
-		a, err := eConc.Read(id)
+		x, err := a.Read(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := eSer.Read(id)
+		y, err := b.Read(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("block %d diverges between concurrent and serial execution", id)
+		if !bytes.Equal(x, y) {
+			t.Fatalf("block %d diverges", id)
 		}
 	}
+}
+
+// done reports whether every lane's plan is exhausted (test helper).
+func (s *Session) done() bool {
+	for _, la := range s.las {
+		if !la.Done() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPreprocessPartition checks that per-shard plans only reference local
@@ -304,17 +414,19 @@ func TestPreprocessPartition(t *testing.T) {
 			}
 		}
 	}
-	if plan.Bins() == 0 || plan.UniqueBlocks() == 0 || plan.MetadataBytes() == 0 {
-		t.Fatalf("plan aggregation empty: bins=%d uniq=%d meta=%d", plan.Bins(), plan.UniqueBlocks(), plan.MetadataBytes())
+	for s := 0; s < 4; s++ {
+		if sp := plan.ShardPlan(s); sp.Len() == 0 || sp.UniqueBlocks() == 0 || sp.MetadataBytes() == 0 {
+			t.Fatalf("shard %d plan empty: bins=%d uniq=%d meta=%d", s, sp.Len(), sp.UniqueBlocks(), sp.MetadataBytes())
+		}
 	}
-	if err := e.LoadForPlan(plan, nil); err != nil {
+	if err := e.LoadForPlanContext(context.Background(), plan, nil); err != nil {
 		t.Fatal(err)
 	}
 	sess, err := e.NewSession(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Run(nil); err != nil {
+	if err := sess.Run(context.Background(), 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cold := sess.Stats().ColdPathReads; cold != 0 {
@@ -334,6 +446,24 @@ func (p *Plan) accessCount() int {
 		}
 	}
 	return total
+}
+
+// BenchmarkPreprocessorScan measures raw preprocessing throughput
+// (accesses scanned per second) — the §VIII-A numerator.
+func BenchmarkPreprocessorScan(b *testing.B) {
+	const entries = 1 << 16
+	e := metaEngine(b, 1, entries, 7)
+	stream, err := trace.Generate(trace.Config{Kind: trace.KindKaggle, N: entries, Count: 100000, Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Preprocess(stream, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(stream)), "accesses/op")
 }
 
 // TestSchedulerStress hammers the concurrent fan-out under load so `go
@@ -373,7 +503,7 @@ func TestSchedulerStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sess.Run(func(shard int) Visit {
+	err = sess.Run(context.Background(), 0, nil, func(shard int) Visit {
 		return func(id uint64, payload []byte) []byte {
 			out := make([]byte, len(payload))
 			copy(out, payload)
@@ -384,7 +514,7 @@ func TestSchedulerStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Done() {
+	if !sess.done() {
 		t.Error("session incomplete after Run")
 	}
 }
@@ -417,7 +547,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := e.Preprocess([]uint64{1, 2, 64}, 2); err == nil {
 		t.Error("out-of-range stream id accepted")
 	}
-	if err := e.LoadForPlan(nil, nil); err == nil {
+	if err := e.LoadForPlanContext(context.Background(), nil, nil); err == nil {
 		t.Error("nil plan accepted")
 	}
 	other := payloadEngine(t, 4, 64, 16, 1)
@@ -425,7 +555,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadForPlan(p, nil); err == nil {
+	if err := e.LoadForPlanContext(context.Background(), p, nil); err == nil {
 		t.Error("shard-count mismatch plan accepted for load")
 	}
 	if _, err := e.NewSession(p); err == nil {

@@ -2,6 +2,7 @@ package laoram
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/oram"
@@ -160,6 +161,9 @@ func TestFatTreeOption(t *testing.T) {
 	}
 }
 
+// TestPreprocessAndSession trains a permutation epoch as one look-ahead
+// window and checks the plan's shape, the per-bin steady state (one path
+// read per bin) and that visit updates persist.
 func TestPreprocessAndSession(t *testing.T) {
 	const entries = 1 << 10
 	db, err := New(Options{Entries: entries, BlockSize: 16, Seed: 5, Measure: true})
@@ -171,64 +175,46 @@ func TestPreprocessAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.Preprocess(stream, 4)
+	plan, err := db.eng.Preprocess(stream, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Bins() != 512 {
-		t.Errorf("bins = %d, want 512", plan.Bins())
+	sp := plan.ShardPlan(0)
+	if sp.Len() != 512 {
+		t.Errorf("bins = %d, want 512", sp.Len())
 	}
-	if plan.UniqueBlocks() != entries {
-		t.Errorf("unique blocks = %d", plan.UniqueBlocks())
+	if sp.UniqueBlocks() != entries {
+		t.Errorf("unique blocks = %d", sp.UniqueBlocks())
 	}
-	if plan.MetadataBytes() <= 0 {
+	if sp.MetadataBytes() <= 0 {
 		t.Error("metadata bytes missing")
 	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte { return make([]byte, 16) }); err != nil {
-		t.Fatal(err)
-	}
-	db.ResetStats()
-	s, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Done() {
-		t.Error("fresh session done")
-	}
+	// The first bin's four members are marked; later visits keep payloads.
 	visits := 0
-	more, err := s.Step(func(id uint64, payload []byte) []byte {
-		visits++
-		out := make([]byte, len(payload))
-		out[0] = 0xAB
-		return out
-	})
-	if err != nil || !more {
-		t.Fatalf("Step = %v, %v", more, err)
+	st := trainWhole(t, db, stream, 4, 0, func(id uint64) []byte { return make([]byte, 16) },
+		func(id uint64, payload []byte) []byte {
+			visits++
+			if visits > 4 {
+				return nil
+			}
+			out := make([]byte, len(payload))
+			out[0] = 0xAB
+			return out
+		})
+	if visits != len(stream) {
+		t.Errorf("visited %d blocks, stream has %d", visits, len(stream))
 	}
-	if visits != 4 {
-		t.Errorf("first bin visited %d blocks", visits)
-	}
-	if err := s.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Done() {
-		t.Error("session not done after Run")
-	}
-	more, err = s.Step(nil)
-	if err != nil || more {
-		t.Errorf("Step past end = %v, %v", more, err)
-	}
-	ss := s.Stats()
+	ss := st.Session
 	if ss.Bins != 512 {
 		t.Errorf("session bins = %d", ss.Bins)
 	}
-	st := db.Stats()
-	if st.Accesses == 0 || st.SimTimeSeconds <= 0 {
-		t.Errorf("stats missing: %+v", st)
+	stats := db.Stats()
+	if stats.Accesses == 0 || stats.SimTimeSeconds <= 0 {
+		t.Errorf("stats missing: %+v", stats)
 	}
 	// Steady state: 1 path read per bin.
-	if st.PathReads > ss.Bins {
-		t.Errorf("path reads %d > bins %d in steady state", st.PathReads, ss.Bins)
+	if stats.PathReads > ss.Bins {
+		t.Errorf("path reads %d > bins %d in steady state", stats.PathReads, ss.Bins)
 	}
 	// The payload mutation from the first bin persisted.
 	first := stream[0]
@@ -241,20 +227,20 @@ func TestPreprocessAndSession(t *testing.T) {
 	}
 }
 
+// TestSessionValidation: a training run rejects a superblock size or a
+// batch size out of range.
 func TestSessionValidation(t *testing.T) {
 	db, err := New(Options{Entries: 16, BlockSize: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.NewSession(nil); err == nil {
-		t.Error("nil plan accepted")
+	ctx := context.Background()
+	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1}), Superblock: -1}); err == nil {
+		t.Error("S=-1 accepted")
 	}
-	if err := db.LoadForPlan(nil, nil); err == nil {
-		t.Error("LoadForPlan with nil plan accepted")
-	}
-	if _, err := db.Preprocess([]uint64{1}, 0); err == nil {
-		t.Error("S=0 accepted")
+	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1}), BatchBins: -1}); err == nil {
+		t.Error("BatchBins=-1 accepted")
 	}
 }
 

@@ -83,22 +83,8 @@ func TestMultiNodeMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := db.Preprocess(stream, S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.LoadForPlan(plan, initPayload); err != nil {
-			t.Fatal(err)
-		}
-		db.ResetStats()
-		sess, err := db.NewSession(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Run(visit); err != nil {
-			t.Fatal(err)
-		}
-		return db, sess.Stats(), db.Stats()
+		st := trainWhole(t, db, stream, S, 0, initPayload, visit)
+		return db, st.Session, db.Stats()
 	}
 
 	local, localSess, localStats := run(Options{

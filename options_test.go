@@ -43,7 +43,7 @@ func TestVerifyOption(t *testing.T) {
 }
 
 // TestVerifyWithEncryptAndSession: the full hardened stack — sealed
-// payloads + Merkle authentication + look-ahead session.
+// payloads + Merkle authentication + look-ahead training.
 func TestVerifyWithEncryptAndSession(t *testing.T) {
 	const entries = 256
 	db, err := New(Options{
@@ -57,24 +57,12 @@ func TestVerifyWithEncryptAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.Preprocess(stream, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte { return make([]byte, 32) }); err != nil {
-		t.Fatal(err)
-	}
-	s, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	if err := s.Run(func(id uint64, payload []byte) []byte {
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	trainWhole(t, db, stream, 4, 0, func(id uint64) []byte { return make([]byte, 32) },
+		func(id uint64, payload []byte) []byte {
+			n++
+			return nil
+		})
 	if n != len(stream) {
 		t.Errorf("visited %d rows, want %d", n, len(stream))
 	}

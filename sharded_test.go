@@ -40,7 +40,7 @@ func TestShardsEquivalentToSingleORAM(t *testing.T) {
 	}
 
 	// Reference: the single-ORAM path assembled directly from internals,
-	// mirroring what New/Preprocess/NewSession compose.
+	// mirroring what New and a full-stream Train compose.
 	g, err := oram.NewGeometry(oram.GeometryConfig{
 		LeafBits: oram.LeafBitsFor(entries), LeafZ: 4, BlockSize: blockSize,
 	})
@@ -82,26 +82,13 @@ func TestShardsEquivalentToSingleORAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	plan, err := db.Preprocess(stream, S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := plan.Bins(), refPlan.Len(); got != want {
+	st := trainWhole(t, db, stream, S, 0, initPayload, visit)
+	if got, want := st.Session.Bins, uint64(refPlan.Len()); got != want {
 		t.Fatalf("plan bins: public %d, reference %d", got, want)
-	}
-	if err := db.LoadForPlan(plan, initPayload); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Run(visit); err != nil {
-		t.Fatal(err)
 	}
 
 	refStats := la.Stats()
-	pubSess := sess.Stats()
+	pubSess := st.Session
 	if pubSess.Bins != refStats.Bins ||
 		pubSess.LookaheadRemaps != refStats.LookaheadRemaps ||
 		pubSess.UniformRemaps != refStats.UniformRemaps ||
@@ -179,8 +166,8 @@ func TestShardsOption(t *testing.T) {
 	}
 }
 
-// TestShardedSession runs a full look-ahead session over 4 shards and
-// checks plan accounting, steady-state behaviour and payload updates.
+// TestShardedSession runs a full look-ahead training window over 4 shards
+// and checks plan accounting, steady-state behaviour and payload updates.
 func TestShardedSession(t *testing.T) {
 	const entries = 1 << 10
 	const blockSize = 16
@@ -193,22 +180,17 @@ func TestShardedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.Preprocess(stream, 4)
+	plan, err := db.eng.Preprocess(stream, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Bins() == 0 || plan.UniqueBlocks() == 0 {
-		t.Fatalf("empty plan: %d bins, %d blocks", plan.Bins(), plan.UniqueBlocks())
+	bins, blocks := 0, 0
+	for s := 0; s < plan.Shards(); s++ {
+		bins += plan.ShardPlan(s).Len()
+		blocks += plan.ShardPlan(s).UniqueBlocks()
 	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte {
-		return bytes.Repeat([]byte{byte(id)}, blockSize)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db.ResetStats()
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
+	if bins == 0 || blocks == 0 {
+		t.Fatalf("empty plan: %d bins, %d blocks", bins, blocks)
 	}
 	// A pure marker update: safe under concurrent lanes.
 	marker := func(id uint64, payload []byte) []byte {
@@ -216,18 +198,17 @@ func TestShardedSession(t *testing.T) {
 		out[0] = byte(id)
 		return out
 	}
-	if err := sess.Run(marker); err != nil {
-		t.Fatal(err)
+	st := trainWhole(t, db, stream, 4, 0, func(id uint64) []byte {
+		return bytes.Repeat([]byte{byte(id)}, blockSize)
+	}, marker)
+	if st.Accesses != uint64(len(stream)) {
+		t.Fatalf("trained %d accesses, stream has %d", st.Accesses, len(stream))
 	}
-	if !sess.Done() {
-		t.Fatal("session not done after Run")
+	if int(st.Session.Bins) != bins {
+		t.Errorf("executed %d bins, plan has %d", st.Session.Bins, bins)
 	}
-	st := sess.Stats()
-	if int(st.Bins) != plan.Bins() {
-		t.Errorf("executed %d bins, plan has %d", st.Bins, plan.Bins())
-	}
-	if st.ColdPathReads != 0 {
-		t.Errorf("pre-placed run saw %d cold path reads", st.ColdPathReads)
+	if st.Session.ColdPathReads != 0 {
+		t.Errorf("pre-placed run saw %d cold path reads", st.Session.ColdPathReads)
 	}
 	for _, id := range []uint64{stream[0], stream[1], stream[len(stream)-1]} {
 		got, err := db.Read(id)
@@ -247,22 +228,5 @@ func TestShardsValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 16}); err == nil {
 		t.Error("more shards than entries accepted")
-	}
-	db, err := New(Options{Entries: 64, BlockSize: 16, Shards: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	other, err := New(Options{Entries: 64, BlockSize: 16, Shards: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	p, err := other.Preprocess([]uint64{1, 2, 3, 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.NewSession(p); err == nil {
-		t.Error("plan from a 4-shard instance accepted by a 2-shard instance")
 	}
 }

@@ -43,10 +43,8 @@ type RewindSource interface {
 	Rewind(pos uint64) error
 }
 
-// FromSlice adapts an in-memory access stream to a RewindSource (the
-// bridge from the one-shot API: Preprocess(stream, s) becomes
-// TrainOptions{Source: FromSlice(stream)}). The slice is not copied; do
-// not mutate it while training.
+// FromSlice adapts an in-memory access stream to a RewindSource. The
+// slice is not copied; do not mutate it while training.
 func FromSlice(stream []uint64) RewindSource {
 	return &sliceSource{s: trace.NewStream(stream)}
 }

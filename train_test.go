@@ -81,7 +81,7 @@ func TestTrainingEquivalence(t *testing.T) {
 				}
 
 				// Plaintext reference: replay the Preprocess plan lane by lane.
-				plan, err := db.Preprocess(stream, S)
+				p, err := db.eng.Preprocess(stream, S)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +90,6 @@ func TestTrainingEquivalence(t *testing.T) {
 					want[id] = InitRow(cfg, uint64(id))
 				}
 				grad := make([]float32, cfg.Dim)
-				p := plan.plan
 				for lane := 0; lane < p.Shards(); lane++ {
 					sp := p.ShardPlan(lane)
 					var step uint64

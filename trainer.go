@@ -11,9 +11,8 @@ import (
 	"repro/internal/shard"
 )
 
-// TrainOptions configures one streaming training run — the v2 API that
-// subsumes the Preprocess → LoadForPlan → NewSession → Run/RunBatched
-// dance of the one-shot flow. Only Source is required.
+// TrainOptions configures one streaming training run. Only Source is
+// required.
 type TrainOptions struct {
 	// Source streams the upcoming embedding indices in training order
 	// (FromSlice, FromTrace, FromChannel, or any custom IndexSource).
@@ -22,11 +21,10 @@ type TrainOptions struct {
 	// evaluates S ∈ {2, 4, 8}).
 	Superblock int
 	// Window is the look-ahead horizon: how many upcoming accesses each
-	// planning window scans. 0 plans the entire stream as one window —
-	// byte-identical to the one-shot Preprocess/Session flow under the
-	// same seed. Smaller windows bound planner memory and latency but
-	// degrade toward PathORAM as blocks leave the horizon (the
-	// abl-window ablation). A positive Window must be >= Superblock.
+	// planning window scans. 0 plans the entire stream as one window.
+	// Smaller windows bound planner memory and latency but degrade
+	// toward PathORAM as blocks leave the horizon (the abl-window
+	// ablation). A positive Window must be >= Superblock.
 	Window int
 	// Depth is how many preprocessed windows may queue ahead of the
 	// trainer (default 2 — double-buffered: window k+1 is planned while
@@ -46,11 +44,9 @@ type TrainOptions struct {
 	PerLane func(lane int) Visit
 	// PrePlace bulk-loads the table before the first window executes,
 	// pre-placing every block of window 0 on its first superblock's path
-	// (the converged steady state of §IV-B — what LoadForPlan does in
-	// the one-shot flow), then zeroes the activity counters so Stats
-	// describe the training run only (the LoadForPlan → ResetStats
-	// convention). When false, the instance must already be loaded
-	// (Load or a previous run).
+	// (the converged steady state of §IV-B), then zeroes the activity
+	// counters so Stats describe the training run only. When false, the
+	// instance must already be loaded (Load or a previous run).
 	PrePlace bool
 	// Payload initialises rows during the PrePlace load; nil loads
 	// zero/simulated content. Requires PrePlace.
@@ -112,8 +108,9 @@ type TrainStats struct {
 	Windows int
 	// Accesses is the number of stream indices covered by fully executed
 	// windows. After a cancelled run the planner may have consumed up to
-	// (Depth+1)·Window further indices from the Source that never
-	// trained; reconcile against the Source itself if exact feed
+	// (Depth+2)·Window further indices from the Source that never
+	// trained (Depth queued windows, one blocked on the full queue and one
+	// mid-training); reconcile against the Source itself if exact feed
 	// accounting matters.
 	Accesses uint64
 	// Session aggregates the LAORAM session counters (§IV) across all
@@ -631,12 +628,7 @@ func (t *Trainer) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batc
 			drain()
 			return zero, err
 		}
-		if cfg.BatchBins > 0 {
-			err = sess.RunBatchedLanesContext(ctx, cfg.BatchBins, dead, cfg.NewVisit)
-		} else {
-			err = sess.RunLanesContext(ctx, dead, cfg.NewVisit)
-		}
-		if err != nil {
+		if err := sess.Run(ctx, cfg.BatchBins, dead, cfg.NewVisit); err != nil {
 			drain()
 			return zero, fmt.Errorf("laoram: catch-up window %d: %w", pw.Index, err)
 		}
@@ -722,9 +714,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 //	    Visit:      func(id uint64, row []byte) []byte { return update(row) },
 //	})
 //
-// With Window = 0 (one window spanning the whole stream) the run is
-// byte-identical to the one-shot Preprocess → LoadForPlan → NewSession →
-// Run flow under the same seed.
+// With Window = 0 one window spans the whole stream, and the run is
+// byte-identical to executing the engine's whole-stream plan under the
+// same seed (DESIGN.md invariant #9).
 func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error) {
 	t, err := o.NewTrainer(opts)
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 	"time"
 )
 
-// trainer_test.go pins the streaming API v2 contracts (ISSUE 4):
+// trainer_test.go pins the streaming training contracts:
 //
-//   - streaming-vs-oneshot equivalence: a Trainer with a full-stream
-//     window reproduces the one-shot Preprocess → LoadForPlan →
-//     NewSession → Run flow byte-identically (seed 42, Shards ∈ {1, 4});
+//   - full-window equivalence: a Trainer with a full-stream window
+//     reproduces the engine's whole-stream plan, pre-placed and executed
+//     directly, byte-identically (seed 42, Shards ∈ {1, 4});
 //   - windowed streaming: incremental sources (slices, channels) train
 //     the whole stream across window boundaries;
 //   - context-aware cancellation: a mid-epoch cancel returns ctx.Err(),
@@ -43,6 +43,24 @@ func trainVisit(id uint64, payload []byte) []byte {
 	return out
 }
 
+// trainWhole trains db over stream as one full-stream window (Window 0)
+// with a pre-placed load — the shape most identity tests compare.
+func trainWhole(t *testing.T, db *ORAM, stream []uint64, S, batchBins int, payload func(id uint64) []byte, visit Visit) *TrainStats {
+	t.Helper()
+	st, err := db.Train(context.Background(), TrainOptions{
+		Source:     FromSlice(stream),
+		Superblock: S,
+		BatchBins:  batchBins,
+		PrePlace:   true,
+		Payload:    payload,
+		Visit:      visit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func uniqueSorted(stream []uint64) []uint64 {
 	seen := map[uint64]bool{}
 	for _, id := range stream {
@@ -56,10 +74,12 @@ func uniqueSorted(stream []uint64) []uint64 {
 	return out
 }
 
-// TestTrainerMatchesOneShot is the streaming-equivalence pin: with the
-// window spanning the full stream, Train must reproduce the one-shot flow
-// byte-identically — same Stats counters, same session counters, same
-// payload bytes — for both the unsharded and the 4-shard engine.
+// TestTrainerMatchesOneShot is the streaming-equivalence pin (DESIGN.md
+// invariant #9): with the window spanning the full stream, Train must
+// reproduce the engine-level Preprocess → LoadForPlanContext → ResetStats
+// → Session.Run flow byte-identically — same Stats counters, same session
+// counters, same payload bytes — for both the unsharded and the 4-shard
+// engine.
 func TestTrainerMatchesOneShot(t *testing.T) {
 	const entries = 1 << 10
 	const blockSize = 32
@@ -73,28 +93,34 @@ func TestTrainerMatchesOneShot(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			opts := Options{Entries: entries, BlockSize: blockSize, Seed: seed, Shards: shards}
 
-			// One-shot reference flow.
+			// Reference: the engine-level whole-stream plan, pre-placed and
+			// executed directly on a session.
 			ref, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			plan, err := ref.Preprocess(stream, S)
+			ctx := context.Background()
+			plan, err := ref.eng.Preprocess(stream, S)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.LoadForPlan(plan, trainInit(blockSize)); err != nil {
+			if err := ref.eng.LoadForPlanContext(ctx, plan, trainInit(blockSize)); err != nil {
 				t.Fatal(err)
 			}
 			ref.ResetStats() // Train's PrePlace resets after loading too
-			sess, err := ref.NewSession(plan)
+			sess, err := ref.eng.NewSession(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sess.Run(trainVisit); err != nil {
+			if err := sess.Run(ctx, 0, nil, fanVisit(trainVisit)); err != nil {
 				t.Fatal(err)
 			}
-			refSess := sess.Stats()
+			rs := sess.Stats()
+			refSess := SessionStats{
+				Bins: rs.Bins, ColdPathReads: rs.ColdPathReads,
+				LookaheadRemaps: rs.LookaheadRemaps, UniformRemaps: rs.UniformRemaps,
+			}
 			refStats := ref.Stats()
 
 			// Streaming flow, full-stream window.
@@ -121,10 +147,10 @@ func TestTrainerMatchesOneShot(t *testing.T) {
 				t.Errorf("Accesses = %d, want %d", st.Accesses, len(stream))
 			}
 			if st.Session != refSess {
-				t.Errorf("session stats diverge: streaming %+v, one-shot %+v", st.Session, refSess)
+				t.Errorf("session stats diverge: streaming %+v, engine plan %+v", st.Session, refSess)
 			}
 			if got := db.Stats(); got != refStats {
-				t.Errorf("engine stats diverge:\nstreaming %+v\none-shot  %+v", got, refStats)
+				t.Errorf("engine stats diverge:\nstreaming   %+v\nengine plan %+v", got, refStats)
 			}
 			for _, id := range uniqueSorted(stream) {
 				want, err := ref.Read(id)
@@ -136,7 +162,7 @@ func TestTrainerMatchesOneShot(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("block %d: streaming payload diverges from one-shot", id)
+					t.Fatalf("block %d: streaming payload diverges from the engine plan", id)
 				}
 			}
 		})
@@ -145,7 +171,7 @@ func TestTrainerMatchesOneShot(t *testing.T) {
 
 // TestTrainerWindowedStreaming drives a multi-window run from a channel
 // source with per-lane visitors and batched stepping over 4 shards: the
-// incremental path none of the one-shot API could express.
+// incremental path a whole-stream plan cannot express.
 func TestTrainerWindowedStreaming(t *testing.T) {
 	const entries = 1 << 10
 	const blockSize = 16
@@ -231,8 +257,8 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1}), Payload: trainInit(16)}); err == nil {
 		t.Error("Payload without PrePlace accepted")
 	}
-	// An empty stream is a successful no-op, matching the one-shot flow
-	// (Preprocess of an empty stream yields an empty plan).
+	// An empty stream is a successful no-op (Preprocess of an empty
+	// stream yields an empty plan).
 	if st, err := db.Train(ctx, TrainOptions{Source: FromSlice(nil)}); err != nil || st.Windows != 0 {
 		t.Errorf("empty stream: got %+v, %v; want 0-window success", st, err)
 	}
